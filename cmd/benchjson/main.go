@@ -14,7 +14,7 @@
 //	benchjson -compare BENCH_PR5.json BENCH_PR6.json
 //
 // printing a per-benchmark delta table and exiting non-zero if any
-// benchmark in the write-path allowlist regressed by more than -threshold
+// benchmark in the gated allowlist regressed by more than -threshold
 // (default 1.25, i.e. >25% slower ns/op). Benchmarks outside the allowlist
 // are reported but never fail the run — scale and one-shot benches are too
 // noisy to gate on.
@@ -42,9 +42,10 @@ type result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// guardedPrefixes is the write-path allowlist: the steady-state ingest
-// benchmarks whose ns/op is stable enough to gate on. One-shot sized runs
-// (scale benches) and read benches with sub-20ns baselines stay advisory.
+// guardedPrefixes is the gated allowlist: the steady-state ingest
+// benchmarks, prediction latency and WAL recovery, whose ns/op is stable
+// enough to gate on. One-shot sized runs (scale benches) and read benches
+// with sub-20ns baselines stay advisory.
 var guardedPrefixes = []string{
 	"BenchmarkServiceObserve/nowal",
 	"BenchmarkServiceObserveBatch/nowal",
@@ -61,11 +62,17 @@ var guardedPrefixes = []string{
 	// is the steady one, so it is the gated successor; higher fan-outs
 	// stay advisory (they saturate a small CI box and swing with it).
 	"BenchmarkShipThroughput/followers=1",
+	// The paper's §5 prediction-cost claim: one observe plus refit plus
+	// bound. It drifted 586 -> 647 ns across PRs 6-10 while ungated.
+	"BenchmarkPredictionLatency",
+	// A restart's log replay (records/s); restart time is time without
+	// service, so a slower replay is a regression like a slower ingest.
+	"BenchmarkRecoverWAL",
 }
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two benchjson files (old new) instead of converting stdin")
-	threshold := flag.Float64("threshold", 1.25, "with -compare: max allowed new/old ns/op ratio for allowlisted write-path benchmarks")
+	threshold := flag.Float64("threshold", 1.25, "with -compare: max allowed new/old ns/op ratio for allowlisted benchmarks")
 	flag.Parse()
 	if *compare {
 		if flag.NArg() != 2 {
@@ -202,7 +209,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d allowlisted write-path benchmark(s) regressed more than %.2fx\n", failed, threshold)
+		fmt.Fprintf(os.Stderr, "benchjson: %d allowlisted benchmark(s) regressed more than %.2fx\n", failed, threshold)
 		return 1
 	}
 	return 0

@@ -142,3 +142,40 @@ func TestParseBenchLine(t *testing.T) {
 		t.Error("non-benchmark line parsed as a result")
 	}
 }
+
+func TestCompareGatesPredictionLatencyAndRecoverWAL(t *testing.T) {
+	// Both joined the allowlist together: each must fail the comparison on
+	// its own past the threshold, at the CPU count it runs at, and pass
+	// within it.
+	oldPath := writeBench(t, "old.json", `[
+		{"name": "BenchmarkPredictionLatency", "cpus": 1, "iterations": 100, "ns_per_op": 600},
+		{"name": "BenchmarkRecoverWAL", "cpus": 2, "iterations": 5, "ns_per_op": 5e8, "metrics": {"records/s": 2000000}}
+	]`)
+	for _, tc := range []struct {
+		name, doc string
+		want      int
+	}{
+		{"prediction latency regressed", `[
+			{"name": "BenchmarkPredictionLatency", "cpus": 1, "iterations": 100, "ns_per_op": 800},
+			{"name": "BenchmarkRecoverWAL", "cpus": 2, "iterations": 5, "ns_per_op": 5e8}
+		]`, 1},
+		{"recovery regressed", `[
+			{"name": "BenchmarkPredictionLatency", "cpus": 1, "iterations": 100, "ns_per_op": 600},
+			{"name": "BenchmarkRecoverWAL", "cpus": 2, "iterations": 5, "ns_per_op": 7e8}
+		]`, 1},
+		{"both within threshold", `[
+			{"name": "BenchmarkPredictionLatency", "cpus": 1, "iterations": 100, "ns_per_op": 700},
+			{"name": "BenchmarkRecoverWAL", "cpus": 2, "iterations": 5, "ns_per_op": 6e8}
+		]`, 0},
+	} {
+		newPath := writeBench(t, "new.json", tc.doc)
+		if code := runCompare(oldPath, newPath, 1.25); code != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	for _, name := range []string{"BenchmarkPredictionLatency", "BenchmarkRecoverWAL"} {
+		if !guarded(name) {
+			t.Errorf("%s is not on the gated allowlist", name)
+		}
+	}
+}

@@ -471,6 +471,81 @@ func TestFreshFollowerGetsSnapshotOnEpochMismatch(t *testing.T) {
 	waitFor(t, "epoch adoption", func() bool { return f.Epoch() == 3 })
 }
 
+// shipRecorder is a fakeApp that also remembers the sequence of every
+// record shipped to it, duplicates included.
+type shipRecorder struct {
+	*fakeApp
+	mu      sync.Mutex
+	shipped []uint64
+}
+
+func (a *shipRecorder) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
+	a.mu.Lock()
+	for _, r := range recs {
+		a.shipped = append(a.shipped, r.Seq)
+	}
+	a.mu.Unlock()
+	return a.fakeApp.ApplyReplicated(prevSeq, recs)
+}
+
+// TestRestartedLeaderSnapshotCoversReplayedLog: a leader restarted on its
+// own log hands a fresh follower a catch-up snapshot covering everything
+// it replayed, then ships only what it appends afterwards — never the
+// replayed prefix a second time.
+func TestRestartedLeaderSnapshotCoversReplayedLog(t *testing.T) {
+	const replayed = 50
+	fs := wal.NewMemFS()
+	prev := newTestWAL(t, wal.Options{FS: fs, Mode: wal.SyncEachRecord})
+	for i := 1; i <= replayed; i++ {
+		if _, err := prev.Append("q", float64(i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prev.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart under an interval policy whose tick never fires during the
+	// test: only Replay can have published the watermark.
+	w := newTestWAL(t, wal.Options{FS: fs, Mode: wal.SyncInterval, Interval: time.Hour})
+	if got := w.SyncedSeq(); got != replayed {
+		t.Fatalf("restarted watermark = %d, want %d", got, replayed)
+	}
+	tr := NewMemTransport()
+	ln, _ := tr.Listen("leader")
+	l := NewLeader(w, &fakeSnap{w: w, blob: []byte("state")}, LeaderOptions{Epoch: 2, HeartbeatEvery: 20 * time.Millisecond})
+	go l.Serve(ln)
+	defer l.Close()
+
+	app := &shipRecorder{fakeApp: &fakeApp{}}
+	startFollower(t, app, tr, 0) // fresh follower: catch-up by snapshot
+	waitFor(t, "catch-up snapshot", func() bool {
+		_, installs, _ := app.stats()
+		return installs >= 1
+	})
+	if applied, installs, _ := app.stats(); installs != 1 || applied != replayed {
+		t.Fatalf("after catch-up: %d snapshots covering seq %d, want 1 covering %d", installs, applied, replayed)
+	}
+
+	seq, err := w.Append("q", 99, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "post-restart record", func() bool { return app.ReplicaAppliedSeq() >= seq })
+	app.mu.Lock()
+	shipped := append([]uint64(nil), app.shipped...)
+	app.mu.Unlock()
+	if len(shipped) != 1 || shipped[0] != seq {
+		t.Fatalf("leader shipped seqs %v after the snapshot, want only [%d]", shipped, seq)
+	}
+	if got := l.RecordsShipped(); got != 1 {
+		t.Fatalf("leader counts %d records shipped, want 1", got)
+	}
+}
+
 func TestHigherEpochFencesLeaderBeforeAckWatermark(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	seq, err := w.Append("q", 1, 1)

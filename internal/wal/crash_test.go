@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -230,5 +231,112 @@ func TestCrashDuringCompaction(t *testing.T) {
 				t.Fatalf("trial %d: log[%d] = %g, want %g", trial, i, wgot, float64(snapshotCount+i))
 			}
 		}
+	}
+}
+
+// TestCrashAfterReplayKeepsReplayedRecords pins the restart durability
+// watermark. A process that dies without a power cut can leave whole
+// records written but never fsynced; the next process replays them and
+// serves them. Replay must make them durable before it counts them as
+// durable: afterwards SyncedSeq is the highest replayed sequence, and a
+// power cut right after the restart loses none of them.
+func TestCrashAfterReplayKeepsReplayedRecords(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		fs := NewMemFS()
+		w, err := Open("wal", Options{FS: fs, Mode: SyncEachRecord, SegmentBytes: int64(256 + rng.Intn(1024))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Replay(nil); err != nil {
+			t.Fatal(err)
+		}
+		synced := 20 + rng.Intn(80)
+		for i := 1; i <= synced; i++ {
+			if _, err := w.Append("q", float64(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Records the dead process wrote past its last fsync.
+		indices, err := listSegments(fs, "wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := filepath.Join("wal", segName(indices[len(indices)-1]))
+		total := synced + 1 + rng.Intn(60)
+		for i := synced + 1; i <= total; i++ {
+			fs.TornAppend(last, appendRecord(nil, Record{Seq: uint64(i), Key: "q", Wait: float64(i)}))
+		}
+
+		w2, err := Open("wal", Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := w2.Replay(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Records != total || stats.MaxSeq != uint64(total) {
+			t.Fatalf("trial %d: replayed %d records up to seq %d, want %d", trial, stats.Records, stats.MaxSeq, total)
+		}
+		if got := w2.SyncedSeq(); got != stats.MaxSeq {
+			t.Fatalf("trial %d: watermark after replay = %d, want MaxSeq %d", trial, got, stats.MaxSeq)
+		}
+
+		fs.Crash(rng)
+		w3, err := Open("wal", Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var waits []float64
+		if _, err := w3.Replay(func(r Record) { waits = append(waits, r.Wait) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(waits) != total {
+			t.Fatalf("trial %d: power cut after replay left %d of %d replayed records", trial, len(waits), total)
+		}
+		for i, wgot := range waits {
+			if wgot != float64(i+1) {
+				t.Fatalf("trial %d: record %d = %g, want %d", trial, i, wgot, i+1)
+			}
+		}
+	}
+}
+
+// TestCrashReplaySyncFailureRefusesLog: if the replayed segments cannot be
+// made durable, Replay fails and the log stays closed to appends — the
+// watermark is never published over records the disk did not confirm.
+func TestCrashReplaySyncFailureRefusesLog(t *testing.T) {
+	fs := NewFaultFS(NewMemFS())
+	w, err := Open("wal", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append("q", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bang := errors.New("sync: input/output error")
+	fs.FailSyncs(bang)
+	w2, err := Open("wal", Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w2.Replay(nil); !errors.Is(err, bang) {
+		t.Fatalf("replay over a failing disk: err = %v, want %v", err, bang)
+	}
+	if got := w2.SyncedSeq(); got != 0 {
+		t.Fatalf("watermark %d published after a failed replay sync", got)
+	}
+	if _, err := w2.Append("q", 2, 0); err == nil {
+		t.Fatal("append accepted after a failed replay")
 	}
 }

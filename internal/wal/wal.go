@@ -301,8 +301,11 @@ func parseSegName(name string) (uint64, bool) {
 // for each valid record, and positions the WAL to append after the highest
 // sequence number seen. Torn or corrupt tails are tolerated: the damaged
 // segment contributes its valid prefix, the rest is counted into the
-// returned stats, and replay continues with the next segment. The returned
-// error is reserved for real I/O failures (unreadable directory or file).
+// returned stats, and replay continues with the next segment. Every
+// scanned segment is then fsynced, and the durability watermark
+// (SyncedSeq) starts at the highest sequence seen. The returned error is
+// reserved for real I/O failures (unreadable directory or file, or a
+// failed fsync of what was read); after one the log refuses appends.
 func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -358,9 +361,39 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 		}
 		f.Close()
 	}
+	// The caller is about to serve every record just read, so each must be
+	// as durable as a record appended later: a write that reached the page
+	// cache but not the disk before the crash would otherwise sit under the
+	// watermark unconfirmed. With the segments synced, MaxSeq is the
+	// durability watermark — a restarted leader's catch-up snapshot covers
+	// what it replayed, and its shipper never sends that prefix again.
+	for _, idx := range indices {
+		if err := w.syncSegment(filepath.Join(w.dir, segName(idx))); err != nil {
+			return stats, fmt.Errorf("wal: sync replayed segment: %w", err)
+		}
+	}
+	if len(indices) > 0 {
+		if err := w.opt.FS.SyncDir(w.dir); err != nil {
+			return stats, fmt.Errorf("wal: %w", err)
+		}
+	}
+	w.syncedSeq.Store(stats.MaxSeq)
 	w.nextSeq = stats.MaxSeq + 1
 	w.replayed = true
 	return stats, nil
+}
+
+// syncSegment fsyncs an existing segment file without writing to it.
+func (w *WAL) syncSegment(name string) error {
+	f, err := w.opt.FS.OpenAppend(name)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendPrepareLocked runs the checks and segment management every append

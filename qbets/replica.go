@@ -81,8 +81,9 @@ func (s *Service) SyncProbeInterval() time.Duration {
 // ApplyReplicated folds one shipped batch into follower state. prevSeq is
 // the sequence the batch extends: a batch from the future (prevSeq above
 // the applied prefix) is refused with ErrReplicaGap, a batch from the
-// past re-applies as a no-op through the per-stream dedup. Quotes are not
-// scored — this process never made them — exactly as WAL replay.
+// past re-applies as a no-op through the per-stream dedup. The batch is
+// grouped and applied exactly as one WAL-recovery worker batch is, so
+// quotes are not scored — this process never made them.
 func (s *Service) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	if !s.follower.Load() {
 		return fmt.Errorf("qbets: ApplyReplicated on a non-follower")
@@ -94,34 +95,15 @@ func (s *Service) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	if prevSeq > applied {
 		return fmt.Errorf("%w: batch extends seq %d but only %d is applied", ErrReplicaGap, prevSeq, applied)
 	}
-	type group struct {
-		st    *stream
-		waits []float64
-		seqs  []uint64
+	batch := make([]replayRecord, len(recs))
+	for i, r := range recs {
+		batch[i] = replayRecord{st: s.getOrCreate(r.Key), wait: r.Wait, seq: r.Seq}
 	}
-	groups := make(map[*stream]*group)
-	order := make([]*group, 0, 4)
-	for _, r := range recs {
-		st := s.getOrCreate(r.Key)
-		g := groups[st]
-		if g == nil {
-			g = &group{st: st}
-			groups[st] = g
-			order = append(order, g)
-		}
-		g.waits = append(g.waits, r.Wait)
-		g.seqs = append(g.seqs, r.Seq)
-	}
-	for _, g := range order {
-		g.st.mu.Lock()
-		if g.st.fc == nil {
-			if err := g.st.rehydrateLocked(s); err != nil {
-				g.st.mu.Unlock()
-				return err
-			}
-		}
-		g.st.replayGroupLocked(s, g.waits, g.seqs)
-		g.st.mu.Unlock()
+	sc := replayScratch{group: make(map[*stream]int32)}
+	if err := sc.apply(s, batch); err != nil {
+		// The applied prefix does not advance: the session re-sends the
+		// batch, and the streams that did apply skip it by lastSeq.
+		return err
 	}
 	if last := recs[len(recs)-1].Seq; last > applied {
 		s.replApplied.Store(last)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -649,14 +650,14 @@ func (st *stream) applyGroupLocked(s *Service, chunk []ObserveRecord, idxs []int
 // not scored (this process never made them), and the forecaster settles
 // once per group — which is what makes batched replay measurably faster
 // than the record-at-a-time path on a long log tail.
-func (st *stream) replayGroupLocked(s *Service, waits []float64, seqs []uint64) {
+func (st *stream) replayGroupLocked(s *Service, recs []replayRecord) {
 	applied := false
-	for i, seq := range seqs {
-		if seq <= st.lastSeq {
+	for _, r := range recs {
+		if r.seq <= st.lastSeq {
 			continue
 		}
-		st.fc.Observe(waits[i])
-		st.lastSeq = seq
+		st.fc.Observe(r.wait)
+		st.lastSeq = r.seq
 		applied = true
 	}
 	if !applied {
@@ -668,6 +669,79 @@ func (st *stream) replayGroupLocked(s *Service, waits []float64, seqs []uint64) 
 		st.lastTrimUnix = time.Now().Unix()
 	}
 	st.markDirtyLocked(s)
+}
+
+// replayBatch is how many decoded records RecoverWAL hands one apply
+// worker at a time.
+const replayBatch = 4096
+
+// replayRecord is one decoded log record bound for an apply worker,
+// already resolved to its stream.
+type replayRecord struct {
+	st   *stream
+	wait float64
+	seq  uint64
+}
+
+// replayScratch is the grouping state of one RecoverWAL apply worker,
+// reused across the batches it applies, or of one ApplyReplicated call.
+// It is never pooled across calls: recovery's batches are transient, and
+// a pool would keep them counted in the live heap after the restart.
+type replayScratch struct {
+	group   map[*stream]int32 // stream -> its group in this batch
+	streams []*stream         // group -> stream, in first-appearance order
+	ends    []int32           // group -> end of its run in sorted
+	of      []int32           // batch record -> its group
+	sorted  []replayRecord    // the batch grouped, log order within a group
+}
+
+// apply groups batch by stream (a counting sort, so each group keeps the
+// log's order) and folds each group in one lock hold through
+// replayGroupLocked. It returns the first rehydration failure; the failed
+// stream's group is skipped, every other group still applies.
+func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
+	clear(sc.group)
+	sc.streams, sc.ends, sc.of = sc.streams[:0], sc.ends[:0], sc.of[:0]
+	for i := range batch {
+		g, ok := sc.group[batch[i].st]
+		if !ok {
+			g = int32(len(sc.streams))
+			sc.group[batch[i].st] = g
+			sc.streams = append(sc.streams, batch[i].st)
+			sc.ends = append(sc.ends, 0)
+		}
+		sc.ends[g]++
+		sc.of = append(sc.of, g)
+	}
+	var at int32
+	for g, n := range sc.ends {
+		sc.ends[g] = at
+		at += n
+	}
+	sc.sorted = slices.Grow(sc.sorted[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		g := sc.of[i]
+		sc.sorted[sc.ends[g]] = batch[i]
+		sc.ends[g]++
+	}
+	var firstErr error
+	var start int32
+	for g, st := range sc.streams {
+		run := sc.sorted[start:sc.ends[g]]
+		start = sc.ends[g]
+		st.mu.Lock()
+		var err error
+		if st.fc == nil {
+			err = st.rehydrateLocked(s)
+		}
+		if err == nil {
+			st.replayGroupLocked(s, run)
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		st.mu.Unlock()
+	}
+	return firstErr
 }
 
 // BatchError reports a batch that was refused or cut short at a specific
@@ -1099,59 +1173,64 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 //
 // RecoverWAL must be called once, before the service takes traffic.
 //
-// Replay goes through the batch-apply path: records are buffered, grouped
-// by stream, and folded in one lock acquisition and one settle per group —
-// within a stream the log's order is preserved exactly, and streams are
-// independent, so recovered state matches record-at-a-time replay. A
-// cold-adopted stream (sharded restore) rehydrates before its first group
-// applies.
+// Replay decodes on one goroutine and applies on GOMAXPROCS: each record
+// is resolved to its stream in log order (so stream creation, and with it
+// seed assignment, matches record-at-a-time replay), then handed to the
+// apply worker its key hashes to. A stream belongs to exactly one worker,
+// so within a stream the log's order is preserved exactly, and streams
+// are independent, so recovered state matches record-at-a-time replay.
+// Each worker groups a batch by stream and folds every group in one lock
+// acquisition and one settle (replayGroupLocked). A cold-adopted stream
+// (sharded restore) rehydrates before its first group applies; the first
+// rehydration failure is returned after every other stream has replayed.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
-	const replayFlushEvery = 1024
-	type pendingGroup struct {
-		st    *stream
-		waits []float64
-		seqs  []uint64
-	}
-	pending := make(map[*stream]*pendingGroup)
-	buffered := 0
-	var replayErr error
-	flush := func() {
-		for _, p := range pending {
-			p.st.mu.Lock()
-			if p.st.fc == nil {
-				if err := p.st.rehydrateLocked(s); err != nil {
-					if replayErr == nil {
-						replayErr = err
-					}
-					p.st.mu.Unlock()
-					continue
+	workers := runtime.GOMAXPROCS(0)
+	queues := make([]chan []replayRecord, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range queues {
+		// Two queued batches keep a worker busy while the decoder fills
+		// its next one.
+		queues[i] = make(chan []replayRecord, 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := replayScratch{group: make(map[*stream]int32)}
+			for batch := range queues[i] {
+				if err := sc.apply(s, batch); err != nil && errs[i] == nil {
+					errs[i] = err
 				}
 			}
-			p.st.replayGroupLocked(s, p.waits, p.seqs)
-			p.st.mu.Unlock()
-		}
-		clear(pending)
-		buffered = 0
+		}()
 	}
+	pending := make([][]replayRecord, workers)
 	stats, err := w.Replay(func(r wal.Record) {
-		st := s.getOrCreate(r.Key)
-		p := pending[st]
-		if p == nil {
-			p = &pendingGroup{st: st}
-			pending[st] = p
+		p := keyHash(r.Key) % uint32(workers)
+		b := pending[p]
+		if b == nil {
+			b = make([]replayRecord, 0, replayBatch)
 		}
-		p.waits = append(p.waits, r.Wait)
-		p.seqs = append(p.seqs, r.Seq)
-		if buffered++; buffered >= replayFlushEvery {
-			flush()
+		b = append(b, replayRecord{st: s.getOrCreate(r.Key), wait: r.Wait, seq: r.Seq})
+		if len(b) == replayBatch {
+			queues[p] <- b
+			b = nil
 		}
+		pending[p] = b
 	})
-	flush()
+	for p, b := range pending {
+		if len(b) > 0 {
+			queues[p] <- b
+		}
+		close(queues[p])
+	}
+	wg.Wait()
 	if err != nil {
 		return stats, err
 	}
-	if replayErr != nil {
-		return stats, replayErr
+	for _, rerr := range errs {
+		if rerr != nil {
+			return stats, rerr
+		}
 	}
 	s.wal = w
 	s.walReplayed.Add(uint64(stats.Records))
