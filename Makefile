@@ -1,7 +1,7 @@
 # BENCH_JSON is where `make bench` drops its machine-readable results;
 # CI uploads it as an artifact so the perf trajectory is recorded per PR.
 # BENCH_BASELINE is what `make bench-compare` diffs against.
-BENCH_JSON ?= BENCH_PR13.json
+BENCH_JSON ?= BENCH_PR15.json
 BENCH_BASELINE ?= BENCH_PR10.json
 
 .PHONY: build test race crash replication-crash cover hypo hypo-full bench bench-compare
@@ -63,9 +63,12 @@ hypo-full:
 # chunked 4 MiB catch-up one-shot-style at -benchtime=20x. RecoverWAL
 # times a restart's log replay (10k streams x 100 interleaved records) and
 # reports records/s at -cpu 1,2: replay applies on every core, so both
-# the single-core and the parallel figure are on record. PredictionLatency
-# is single-threaded and runs pinned at -cpu 1, so its gated entry keeps
-# one name on hosts with any core count. The scale benches (million-stream registry,
+# the single-core and the parallel figure are on record. Every other gated
+# set — PredictionLatency, the write paths (ServiceObserve,
+# ServerObserveBatch), ShipThroughput, the BMBP state codec and the
+# scheduler kernel — runs pinned at -cpu 1, so its entries keep one name
+# on hosts with any core count and match the 1-CPU baseline instead of
+# reporting as new. The scale benches (million-stream registry,
 # stream-creation churn) are sized one-shot runs, so they go at
 # -benchtime=1x; their custom metrics (create-ns/stream, heapB/stream,
 # read-p50/p99-ns) land in "metrics". The what-if set (kernel replay,
@@ -76,12 +79,13 @@ bench:
 	@set -e; \
 	out=$$(mktemp); \
 	go test -run '^$$' -bench PredictionLatency -cpu 1 -count=3 -benchmem . >> $$out; \
-	go test -run '^$$' -bench 'ServiceObserve|ServerObserveBatch' -count=3 -benchmem ./qbets/ >> $$out; \
+	go test -run '^$$' -bench 'ServiceObserve|ServerObserveBatch' -cpu 1 -count=3 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'ServiceForecast|ServiceProfile|ServiceReadWhileIngest|ServerForecast|FollowerForecast' -cpu 1,4 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'RecoverWAL' -cpu 1,2 -benchtime=5x -count=3 -benchmem ./qbets/ >> $$out; \
-	go test -run '^$$' -bench 'ShipThroughput' -count=3 -benchmem ./internal/repl/ >> $$out; \
+	go test -run '^$$' -bench 'ShipThroughput' -cpu 1 -count=3 -benchmem ./internal/repl/ >> $$out; \
 	go test -run '^$$' -bench 'SnapshotCatchup' -benchtime=20x -benchmem ./internal/repl/ >> $$out; \
-	go test -run '^$$' -bench 'SchedulerRun|RunHeap' -benchmem ./internal/scheduler/ >> $$out; \
+	go test -run '^$$' -bench 'BMBPCodec' -cpu 1 -count=3 -benchmem ./internal/core/ >> $$out; \
+	go test -run '^$$' -bench 'SchedulerRun|RunHeap' -cpu 1 -count=3 -benchmem ./internal/scheduler/ >> $$out; \
 	go test -run '^$$' -bench 'WhatifGrid' -benchmem ./internal/whatif/ >> $$out; \
 	go test -run '^$$' -bench 'MillionStreams|StreamCreationChurn' -benchtime=1x -timeout 30m ./qbets/ >> $$out; \
 	go run ./cmd/benchjson < $$out > $(BENCH_JSON); \
@@ -89,8 +93,9 @@ bench:
 	echo "wrote $(BENCH_JSON)"
 
 # bench-compare diffs the fresh results against the recorded baseline and
-# fails if an allowlisted benchmark (the write paths, PredictionLatency and
-# RecoverWAL) regressed more than 25%.
+# fails if an allowlisted benchmark (the write paths, PredictionLatency,
+# RecoverWAL, the BMBP codec and the warm scheduler kernel) regressed more
+# than 25%. A gated benchmark the baseline lacks reports as new.
 # Read benches with sub-20ns baselines and the one-shot scale benches are
 # reported but advisory — they are too noisy to gate on.
 bench-compare:

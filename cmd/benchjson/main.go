@@ -43,8 +43,8 @@ type result struct {
 }
 
 // guardedPrefixes is the gated allowlist: the steady-state ingest
-// benchmarks, prediction latency and WAL recovery, whose ns/op is stable
-// enough to gate on. One-shot sized runs (scale benches) and read benches
+// benchmarks, prediction latency, WAL recovery, the predictor state codec
+// and the warm what-if kernel, whose ns/op is stable enough to gate on. One-shot sized runs (scale benches) and read benches
 // with sub-20ns baselines stay advisory.
 var guardedPrefixes = []string{
 	"BenchmarkServiceObserve/nowal",
@@ -68,6 +68,13 @@ var guardedPrefixes = []string{
 	// A restart's log replay (records/s); restart time is time without
 	// service, so a slower replay is a regression like a slower ingest.
 	"BenchmarkRecoverWAL",
+	// The predictor state codec: every eviction, rehydration, state save
+	// and replica snapshot chunk encodes or decodes each stream through it.
+	"BenchmarkBMBPCodec",
+	// A warm what-if kernel replay (Fill plus Run on a reused kernel), the
+	// per-scenario unit of every what-if grid. The single-shot variant
+	// allocates a fresh kernel per run and stays advisory.
+	"BenchmarkSchedulerRun/kernel",
 }
 
 func main() {

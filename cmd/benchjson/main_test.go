@@ -179,3 +179,48 @@ func TestCompareGatesPredictionLatencyAndRecoverWAL(t *testing.T) {
 		}
 	}
 }
+
+func TestCompareGatesCodecAndKernel(t *testing.T) {
+	// The codec and the warm kernel replay run at -cpu 1 and are gated
+	// each on its own; the single-shot scheduler run stays advisory.
+	oldPath := writeBench(t, "old.json", `[
+		{"name": "BenchmarkBMBPCodec/marshal", "cpus": 1, "iterations": 100, "ns_per_op": 600, "allocs_per_op": 1},
+		{"name": "BenchmarkBMBPCodec/unmarshal", "cpus": 1, "iterations": 100, "ns_per_op": 2000},
+		{"name": "BenchmarkSchedulerRun/kernel", "cpus": 1, "iterations": 100, "ns_per_op": 1e6},
+		{"name": "BenchmarkSchedulerRun/singleshot", "cpus": 1, "iterations": 100, "ns_per_op": 1e6}
+	]`)
+	for _, tc := range []struct {
+		name, doc string
+		want      int
+	}{
+		{"marshal regressed", `[
+			{"name": "BenchmarkBMBPCodec/marshal", "cpus": 1, "iterations": 100, "ns_per_op": 800},
+			{"name": "BenchmarkBMBPCodec/unmarshal", "cpus": 1, "iterations": 100, "ns_per_op": 2000},
+			{"name": "BenchmarkSchedulerRun/kernel", "cpus": 1, "iterations": 100, "ns_per_op": 1e6}
+		]`, 1},
+		{"unmarshal regressed", `[
+			{"name": "BenchmarkBMBPCodec/marshal", "cpus": 1, "iterations": 100, "ns_per_op": 600},
+			{"name": "BenchmarkBMBPCodec/unmarshal", "cpus": 1, "iterations": 100, "ns_per_op": 3000},
+			{"name": "BenchmarkSchedulerRun/kernel", "cpus": 1, "iterations": 100, "ns_per_op": 1e6}
+		]`, 1},
+		{"kernel regressed", `[
+			{"name": "BenchmarkBMBPCodec/marshal", "cpus": 1, "iterations": 100, "ns_per_op": 600},
+			{"name": "BenchmarkBMBPCodec/unmarshal", "cpus": 1, "iterations": 100, "ns_per_op": 2000},
+			{"name": "BenchmarkSchedulerRun/kernel", "cpus": 1, "iterations": 100, "ns_per_op": 1.4e6}
+		]`, 1},
+		{"single-shot slower, advisory", `[
+			{"name": "BenchmarkBMBPCodec/marshal", "cpus": 1, "iterations": 100, "ns_per_op": 700},
+			{"name": "BenchmarkBMBPCodec/unmarshal", "cpus": 1, "iterations": 100, "ns_per_op": 2400},
+			{"name": "BenchmarkSchedulerRun/kernel", "cpus": 1, "iterations": 100, "ns_per_op": 1.2e6},
+			{"name": "BenchmarkSchedulerRun/singleshot", "cpus": 1, "iterations": 100, "ns_per_op": 5e6}
+		]`, 0},
+	} {
+		newPath := writeBench(t, "new.json", tc.doc)
+		if code := runCompare(oldPath, newPath, 1.25); code != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	if guarded("BenchmarkSchedulerRun/singleshot") {
+		t.Error("BenchmarkSchedulerRun/singleshot is gated; it allocates a kernel per run and is advisory")
+	}
+}

@@ -3,7 +3,9 @@ package core
 import "testing"
 
 // FuzzUnmarshalBinary: state restoration must never panic or accept
-// structurally invalid blobs silently.
+// structurally invalid blobs silently, and it must accept and reject
+// exactly the blobs the reflective reference decoder does, restoring the
+// same state from each accepted one.
 func FuzzUnmarshalBinary(f *testing.F) {
 	valid := func() []byte {
 		b := New(Config{})
@@ -17,9 +19,25 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add([]byte("BMBP"))
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])
+	f.Add(hostileHistoryBlob())
+	golden, _ := goldenPredictor().MarshalBinary()
+	f.Add(golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := New(Config{})
-		if err := b.UnmarshalBinary(data); err != nil {
+		err := b.UnmarshalBinary(data)
+		if refDecodeSafe(data) {
+			ref := New(Config{})
+			refErr := refUnmarshalBinary(ref, data)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("decoder error %v, reference error %v", err, refErr)
+			}
+			if err == nil {
+				assertSameState(t, b, ref)
+			}
+		} else if err == nil {
+			t.Fatal("accepted a blob whose history length exceeds its size")
+		}
+		if err != nil {
 			return
 		}
 		// Accepted blobs must leave a usable predictor.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -17,123 +18,201 @@ import (
 //
 // The format is versioned and self-contained: configuration, calibration
 // state, and the observation-ordered history (the order statistics are
-// rebuilt on load).
+// rebuilt on load). Every field is little-endian:
+//
+//	"BMBP" | u16 version
+//	f64 quantile | f64 confidence | i32 mode | u8 noTrim
+//	i64 fixedRareThreshold | i64 maxHistory | i64 seed
+//	i64 rareThreshold | i64 consecMisses | i64 trims | i64 observations
+//	i64 tableLen | tableLen × (f64 maxAutocorr | i64 threshold)
+//	i64 histLen | histLen × f64
+//
+// Eviction, state saves and replica snapshots encode every stream through
+// MarshalBinary, so both directions work straight on the byte slice: the
+// encoder sizes the blob exactly and fills it in one allocation, and the
+// decoder checks each declared length against the bytes actually present
+// before allocating for it.
 
 const (
 	marshalMagic   = "BMBP"
 	marshalVersion = 1
+
+	// headerLen covers magic, version, config and calibration: everything
+	// before the rare-event table length.
+	headerLen    = 4 + 2 + 8 + 8 + 4 + 1 + 3*8 + 4*8
+	rareEntryLen = 8 + 8
+	maxTableLen  = 1024
+	maxHistLen   = 1 << 31
 )
+
+// defaultRareTableBlob is DefaultRareEventTable's encoded entries. A
+// decoded table whose bytes match it is DefaultRareEventTable, so restored
+// predictors share the one table instead of each holding a copy.
+var defaultRareTableBlob = appendRareTable(nil, DefaultRareEventTable)
+
+func appendRareTable(buf []byte, t RareEventTable) []byte {
+	for _, e := range t {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.MaxAutocorr))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.Threshold)))
+	}
+	return buf
+}
 
 // MarshalBinary encodes the predictor's full state.
 func (b *BMBP) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(marshalMagic)
-	w := func(v interface{}) {
-		// bytes.Buffer writes never fail.
-		_ = binary.Write(&buf, binary.LittleEndian, v)
-	}
-	w(uint16(marshalVersion))
-	w(b.cfg.Quantile)
-	w(b.cfg.Confidence)
-	w(int32(b.cfg.Mode))
-	w(b.cfg.NoTrim)
-	w(int64(b.cfg.FixedRareThreshold))
-	w(int64(b.cfg.MaxHistory))
-	w(b.cfg.Seed)
-
-	w(int64(b.rareThreshold))
-	w(int64(b.consecMisses))
-	w(int64(b.trims))
-	w(int64(b.observations))
-
-	w(int64(len(b.cfg.RareTable)))
-	for _, e := range b.cfg.RareTable {
-		w(e.MaxAutocorr)
-		w(int64(e.Threshold))
-	}
-
+	le := binary.LittleEndian
 	win := b.window()
-	w(int64(len(win)))
-	for _, v := range win {
-		w(v)
+	buf := make([]byte, 0, headerLen+8+rareEntryLen*len(b.cfg.RareTable)+8+8*len(win))
+	buf = append(buf, marshalMagic...)
+	buf = le.AppendUint16(buf, marshalVersion)
+	buf = le.AppendUint64(buf, math.Float64bits(b.cfg.Quantile))
+	buf = le.AppendUint64(buf, math.Float64bits(b.cfg.Confidence))
+	buf = le.AppendUint32(buf, uint32(int32(b.cfg.Mode)))
+	noTrim := byte(0)
+	if b.cfg.NoTrim {
+		noTrim = 1
 	}
-	return buf.Bytes(), nil
+	buf = append(buf, noTrim)
+	buf = le.AppendUint64(buf, uint64(int64(b.cfg.FixedRareThreshold)))
+	buf = le.AppendUint64(buf, uint64(int64(b.cfg.MaxHistory)))
+	buf = le.AppendUint64(buf, uint64(b.cfg.Seed))
+
+	buf = le.AppendUint64(buf, uint64(int64(b.rareThreshold)))
+	buf = le.AppendUint64(buf, uint64(int64(b.consecMisses)))
+	buf = le.AppendUint64(buf, uint64(int64(b.trims)))
+	buf = le.AppendUint64(buf, uint64(int64(b.observations)))
+
+	buf = le.AppendUint64(buf, uint64(len(b.cfg.RareTable)))
+	buf = appendRareTable(buf, b.cfg.RareTable)
+
+	buf = le.AppendUint64(buf, uint64(len(win)))
+	for _, v := range win {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf, nil
 }
+
+// blobReader walks a state blob front to back. Its error is sticky and
+// mirrors io.ReadFull's: io.EOF when a field starts at the end of the blob,
+// io.ErrUnexpectedEOF when it is cut short.
+type blobReader struct {
+	b   []byte
+	err error
+}
+
+func (r *blobReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if len(r.b) < n {
+		r.err = io.ErrUnexpectedEOF
+		if len(r.b) == 0 {
+			r.err = io.EOF
+		}
+		r.b = nil
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *blobReader) u64() uint64 {
+	if p := r.next(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *blobReader) i64() int64   { return int64(r.u64()) }
+func (r *blobReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // UnmarshalBinary restores a predictor serialized by MarshalBinary,
 // replacing the receiver's state entirely.
 func (b *BMBP) UnmarshalBinary(data []byte) error {
-	buf := bytes.NewReader(data)
-	magic := make([]byte, len(marshalMagic))
-	if _, err := buf.Read(magic); err != nil || string(magic) != marshalMagic {
+	if len(data) < len(marshalMagic) || string(data[:len(marshalMagic)]) != marshalMagic {
 		return fmt.Errorf("core: not a BMBP state blob")
 	}
+	r := blobReader{b: data[len(marshalMagic):]}
 	var version uint16
-	r := func(v interface{}) error {
-		return binary.Read(buf, binary.LittleEndian, v)
+	if p := r.next(2); p != nil {
+		version = binary.LittleEndian.Uint16(p)
 	}
-	if err := r(&version); err != nil {
-		return fmt.Errorf("core: truncated state: %v", err)
+	if r.err != nil {
+		return fmt.Errorf("core: truncated state: %v", r.err)
 	}
 	if version != marshalVersion {
 		return fmt.Errorf("core: unsupported state version %d", version)
 	}
 
 	var cfg Config
-	var mode int32
-	var fixedRare, maxHistory int64
-	if err := firstErr(
-		r(&cfg.Quantile), r(&cfg.Confidence), r(&mode), r(&cfg.NoTrim),
-		r(&fixedRare), r(&maxHistory), r(&cfg.Seed),
-	); err != nil {
-		return fmt.Errorf("core: truncated config: %v", err)
+	cfg.Quantile = r.f64()
+	cfg.Confidence = r.f64()
+	if p := r.next(4); p != nil {
+		cfg.Mode = BoundMode(int32(binary.LittleEndian.Uint32(p)))
 	}
-	cfg.Mode = BoundMode(mode)
-	cfg.FixedRareThreshold = int(fixedRare)
-	cfg.MaxHistory = int(maxHistory)
+	if p := r.next(1); p != nil {
+		cfg.NoTrim = p[0] != 0
+	}
+	cfg.FixedRareThreshold = int(r.i64())
+	cfg.MaxHistory = int(r.i64())
+	cfg.Seed = r.i64()
+	if r.err != nil {
+		return fmt.Errorf("core: truncated config: %v", r.err)
+	}
 	// Written as positive conditions so NaN (all comparisons false) is
 	// rejected too.
 	if !(cfg.Quantile > 0 && cfg.Quantile < 1 && cfg.Confidence > 0 && cfg.Confidence < 1) {
 		return fmt.Errorf("core: corrupt state: quantile %g confidence %g", cfg.Quantile, cfg.Confidence)
 	}
 
-	var rareThreshold, consecMisses, trims, observations int64
-	if err := firstErr(r(&rareThreshold), r(&consecMisses), r(&trims), r(&observations)); err != nil {
-		return fmt.Errorf("core: truncated calibration: %v", err)
+	rareThreshold, consecMisses, trims, observations := r.i64(), r.i64(), r.i64(), r.i64()
+	if r.err != nil {
+		return fmt.Errorf("core: truncated calibration: %v", r.err)
 	}
 
-	var tableLen int64
-	if err := r(&tableLen); err != nil {
-		return fmt.Errorf("core: truncated table: %v", err)
+	tableLen := r.i64()
+	if r.err != nil {
+		return fmt.Errorf("core: truncated table: %v", r.err)
 	}
-	if tableLen < 0 || tableLen > 1024 {
+	if tableLen < 0 || tableLen > maxTableLen {
 		return fmt.Errorf("core: corrupt table length %d", tableLen)
 	}
-	table := make(RareEventTable, tableLen)
-	for i := range table {
-		var thr int64
-		if err := firstErr(r(&table[i].MaxAutocorr), r(&thr)); err != nil {
-			return fmt.Errorf("core: truncated table entry: %v", err)
+	entries := r.next(int(tableLen) * rareEntryLen)
+	if r.err != nil {
+		return fmt.Errorf("core: truncated table entry: %v", r.err)
+	}
+	if bytes.Equal(entries, defaultRareTableBlob) {
+		cfg.RareTable = DefaultRareEventTable
+	} else {
+		cfg.RareTable = make(RareEventTable, tableLen)
+		for i := range cfg.RareTable {
+			e := entries[i*rareEntryLen:]
+			cfg.RareTable[i].MaxAutocorr = math.Float64frombits(binary.LittleEndian.Uint64(e))
+			cfg.RareTable[i].Threshold = int(int64(binary.LittleEndian.Uint64(e[8:])))
 		}
-		table[i].Threshold = int(thr)
 	}
-	cfg.RareTable = table
 
-	var histLen int64
-	if err := r(&histLen); err != nil {
-		return fmt.Errorf("core: truncated history length: %v", err)
+	histLen := r.i64()
+	if r.err != nil {
+		return fmt.Errorf("core: truncated history length: %v", r.err)
 	}
-	if histLen < 0 || histLen > 1<<31 {
+	if histLen < 0 || histLen > maxHistLen {
 		return fmt.Errorf("core: corrupt history length %d", histLen)
+	}
+	// The declared length is checked against the bytes present before the
+	// history is allocated, so a corrupt length costs nothing.
+	raw := r.next(int(histLen) * 8)
+	if r.err != nil {
+		return fmt.Errorf("core: truncated history: %v", r.err)
 	}
 	hist := make([]float64, histLen)
 	for i := range hist {
-		if err := r(&hist[i]); err != nil {
-			return fmt.Errorf("core: truncated history: %v", err)
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if math.IsNaN(v) || v < 0 {
+			return fmt.Errorf("core: corrupt history value %g", v)
 		}
-		if math.IsNaN(hist[i]) || hist[i] < 0 {
-			return fmt.Errorf("core: corrupt history value %g", hist[i])
-		}
+		hist[i] = v
 	}
 
 	// Rebuild derived structures. The order statistics come back via an
@@ -155,14 +234,5 @@ func (b *BMBP) UnmarshalBinary(data []byte) error {
 	b.trims = int(trims)
 	b.observations = int(observations)
 	b.stale = true
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }

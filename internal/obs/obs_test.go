@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,55 @@ func TestRollingRateTinyWindow(t *testing.T) {
 	r.Record(false)
 	if rate, n := r.Rate(); n != 1 || rate != 0 {
 		t.Fatalf("rate = %g/%d", rate, n)
+	}
+}
+
+// TestRollingRateMatchesBoolWindow replays random outcome streams through
+// the bitset window and through a plain []bool ring, across several wraps
+// and at window sizes on both sides of a word boundary: Rate and Lifetime
+// must agree after every record.
+func TestRollingRateMatchesBoolWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, size := range []int{1, 2, 63, 64, 65, 128, 500} {
+		r := NewRollingRate(size)
+		ring := make([]bool, size)
+		var idx, filled, hits int
+		var lifeHits, lifeN uint64
+		for i := 0; i < 5*size+17; i++ {
+			hit := rng.Intn(5) != 0
+			r.Record(hit)
+			if filled == size {
+				if ring[idx] {
+					hits--
+				}
+			} else {
+				filled++
+			}
+			ring[idx] = hit
+			if hit {
+				hits++
+				lifeHits++
+			}
+			lifeN++
+			idx = (idx + 1) % size
+			rate, n := r.Rate()
+			if n != filled || rate != float64(hits)/float64(filled) {
+				t.Fatalf("size %d record %d: rate %g/%d, want %g/%d", size, i, rate, n, float64(hits)/float64(filled), filled)
+			}
+			if h, total := r.Lifetime(); h != lifeHits || total != lifeN {
+				t.Fatalf("size %d record %d: lifetime %d/%d, want %d/%d", size, i, h, total, lifeHits, lifeN)
+			}
+		}
+	}
+}
+
+// TestRollingRateWindowIsPacked pins the footprint: a 500-outcome window
+// is eight words, not 500 bytes.
+func TestRollingRateWindowIsPacked(t *testing.T) {
+	r := NewRollingRate(500)
+	r.Record(true)
+	if got := len(r.window); got != 8 {
+		t.Fatalf("500-outcome window uses %d words, want 8", got)
 	}
 }
 

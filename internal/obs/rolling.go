@@ -10,9 +10,13 @@ import "sync"
 // against the target confidence to tell whether the bounds are holding
 // *now*, not just on average since startup.
 type RollingRate struct {
-	mu     sync.Mutex
-	size   int
-	window []bool // allocated on first Record: most streams never resolve
+	mu   sync.Mutex
+	size int
+	// window holds the last size outcomes as a bitset (bit idx is the
+	// oldest once the window is full): 8 words for the serving plane's
+	// 500-outcome window. Allocated on first Record: most streams never
+	// resolve.
+	window []uint64
 	idx    int
 	filled int
 	hits   int
@@ -37,20 +41,25 @@ func (r *RollingRate) Record(hit bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.window == nil {
-		r.window = make([]bool, r.size)
+		r.window = make([]uint64, (r.size+63)/64)
 	}
-	if r.filled == len(r.window) {
-		if r.window[r.idx] {
+	w, bit := &r.window[r.idx/64], uint64(1)<<(r.idx%64)
+	if r.filled == r.size {
+		if *w&bit != 0 {
 			r.hits--
 		}
 	} else {
 		r.filled++
 	}
-	r.window[r.idx] = hit
 	if hit {
+		*w |= bit
 		r.hits++
+	} else {
+		*w &^= bit
 	}
-	r.idx = (r.idx + 1) % len(r.window)
+	if r.idx++; r.idx == r.size {
+		r.idx = 0
+	}
 	r.lifetimeN++
 	if hit {
 		r.lifetimeHits++

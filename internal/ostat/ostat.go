@@ -63,9 +63,14 @@ type Multiset struct {
 // identical operation sequences yield identical trees — so runs are
 // reproducible; the seed parameter is retained for compatibility with the
 // earlier randomized-treap implementation and is unused.
+//
+// The leaf arena starts at exactly one leaf and both arenas grow by append
+// as splits need nodes: a 776-byte leaf holds up to 64 distinct values, so
+// a typical serving-plane history of a few hundred waits fills one to a
+// handful of leaves, and a registry of millions of streams pays for the
+// leaves its histories occupy rather than a fixed reservation per stream.
 func New(seed int64) *Multiset {
-	m := &Multiset{leaves: make([]leafNode, 1, 8), height: 1}
-	return m
+	return &Multiset{leaves: make([]leafNode, 1), height: 1}
 }
 
 // Len returns the number of values in the multiset, counting multiplicity.

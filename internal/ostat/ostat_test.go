@@ -224,3 +224,18 @@ func BenchmarkMultisetSelect(b *testing.B) {
 		m.Select(95000)
 	}
 }
+
+// TestArenaGrowsExactly pins the per-stream footprint: a new multiset
+// holds one leaf, and inserts grow the arenas only as splits need nodes.
+func TestArenaGrowsExactly(t *testing.T) {
+	m := New(1)
+	if cap(m.leaves) != 1 || cap(m.inners) != 0 {
+		t.Fatalf("new multiset reserves %d leaves and %d inner nodes, want 1 and 0", cap(m.leaves), cap(m.inners))
+	}
+	for i := 0; i < 100; i++ {
+		m.Insert(float64(i * 37 % 100)) // 100 distinct values, shuffled
+	}
+	if len(m.leaves) != 2 || cap(m.leaves) != 2 || cap(m.inners) != 1 {
+		t.Fatalf("100 inserts: %d/%d leaves, %d inner nodes reserved, want 2/2 and 1", len(m.leaves), cap(m.leaves), cap(m.inners))
+	}
+}

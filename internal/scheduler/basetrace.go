@@ -19,17 +19,20 @@ import (
 type BaseTrace struct {
 	cfg WorkloadConfig // defaults applied
 
-	// Raw draws, in the exact order GenerateJobs consumed the RNG:
-	// interarrival exponential, processor exponent (its own variable-length
-	// coin-flip sequence), log-runtime normal, estimate uniform, queue
-	// uniform.
-	inter  []float64
-	pexp   []uint8
-	rnorm  []float64
-	estU   []float64
-	queueU []float64
+	// Raw draws the perturbations act on, in the exact order GenerateJobs
+	// consumed the RNG: interarrival exponential and processor exponent
+	// (its own variable-length coin-flip sequence).
+	inter []float64
+	pexp  []uint8
 
-	wsum float64
+	// Job fields no perturbation changes, derived once from the remaining
+	// draws (log-runtime normal, estimate uniform, queue uniform): runtime
+	// after constraint routing, estimate, routed queue, and that queue's
+	// processor cap (0 = none).
+	runtime  []float64
+	estimate []float64
+	queue    []string
+	qcap     []int
 }
 
 // Perturbation reshapes a base trace into one scenario's workload. The zero
@@ -50,15 +53,17 @@ type Perturbation struct {
 func NewBaseTrace(cfg WorkloadConfig) *BaseTrace {
 	cfg = cfg.withDefaults()
 	bt := &BaseTrace{
-		cfg:    cfg,
-		inter:  make([]float64, cfg.Jobs),
-		pexp:   make([]uint8, cfg.Jobs),
-		rnorm:  make([]float64, cfg.Jobs),
-		estU:   make([]float64, cfg.Jobs),
-		queueU: make([]float64, cfg.Jobs),
+		cfg:      cfg,
+		inter:    make([]float64, cfg.Jobs),
+		pexp:     make([]uint8, cfg.Jobs),
+		runtime:  make([]float64, cfg.Jobs),
+		estimate: make([]float64, cfg.Jobs),
+		queue:    make([]string, cfg.Jobs),
+		qcap:     make([]int, cfg.Jobs),
 	}
+	var wsum float64
 	for _, w := range cfg.QueueWeights {
-		bt.wsum += w
+		wsum += w
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Jobs; i++ {
@@ -68,11 +73,55 @@ func NewBaseTrace(cfg WorkloadConfig) *BaseTrace {
 			exp++
 		}
 		bt.pexp[i] = exp
-		bt.rnorm[i] = rng.NormFloat64()
-		bt.estU[i] = rng.Float64()
-		bt.queueU[i] = rng.Float64()
+		rnorm := rng.NormFloat64()
+		estU := rng.Float64()
+		queueU := rng.Float64()
+		bt.route(i, rnorm, estU, queueU*wsum)
 	}
 	return bt
+}
+
+// route derives job i's perturbation-independent fields from its
+// log-runtime normal draw, estimate uniform, and queue draw u scaled to
+// the total queue weight.
+func (bt *BaseTrace) route(i int, rnorm, estU, u float64) {
+	cfg := &bt.cfg
+	runtime := math.Exp(cfg.RuntimeMu + cfg.RuntimeSigma*rnorm)
+	if runtime < 10 {
+		runtime = 10
+	}
+	estimate := runtime * (1 + estU*(cfg.OverestimateMax-1))
+
+	queue := cfg.QueueNames[len(cfg.QueueNames)-1]
+	for qi, w := range cfg.QueueWeights {
+		if u <= w {
+			queue = cfg.QueueNames[qi]
+			break
+		}
+		u -= w
+	}
+	// Users route around advertised constraints: a job too long for its
+	// drawn queue goes to the next queue down that accommodates it; a job
+	// still too long for the last queue is shortened to fit
+	// (checkpoint-and-resubmit behavior).
+	for qi := indexOf(cfg.QueueNames, queue); qi < len(cfg.QueueNames); qi++ {
+		queue = cfg.QueueNames[qi]
+		ceil := cfg.QueueMaxRuntime[queue]
+		if ceil <= 0 || runtime <= ceil {
+			break
+		}
+		if qi == len(cfg.QueueNames)-1 {
+			runtime = ceil * 0.95
+		}
+	}
+	if ceil := cfg.QueueMaxRuntime[queue]; ceil > 0 && estimate > ceil {
+		estimate = ceil
+	}
+	if estimate < runtime {
+		estimate = runtime
+	}
+	bt.runtime[i], bt.estimate[i], bt.queue[i] = runtime, estimate, queue
+	bt.qcap[i] = cfg.QueueMaxProcs[queue]
 }
 
 // Len returns the number of jobs the trace materializes.
@@ -83,10 +132,11 @@ func (bt *BaseTrace) Config() WorkloadConfig { return bt.cfg }
 
 // Fill materializes the trace under p into dst, reusing dst's capacity
 // (pass a kernel's Jobs arena for allocation-free scenario replay), and
-// returns the filled slice. Every transform GenerateJobs applies — diurnal
-// modulation, queue routing, ceiling clamps — is reapplied here against the
-// perturbed parameters, so e.g. a higher arrival rate legitimately shifts
-// which jobs land in "working hours".
+// returns the filled slice. The transforms a perturbation reaches —
+// diurnal modulation and the processor caps — are reapplied here against
+// the perturbed parameters, so e.g. a higher arrival rate legitimately
+// shifts which jobs land in "working hours". Runtime, estimate and queue
+// routing do not depend on the perturbation; NewBaseTrace derived them.
 func (bt *BaseTrace) Fill(dst []Job, p Perturbation) []Job {
 	cfg := bt.cfg
 	n := bt.Len()
@@ -117,59 +167,23 @@ func (bt *BaseTrace) Fill(dst []Job, p Perturbation) []Job {
 		}
 		t += bt.inter[i] * cfg.MeanInterarrival * rate / rateMul
 
-		// Processor counts: powers of two, heavily weighted small.
+		// Processor counts: powers of two, heavily weighted small, within
+		// the machine cap and the routed queue's advertised cap.
 		procs := 1 << bt.pexp[i]
 		if procs > maxProcs {
 			procs = maxProcs
 		}
-
-		runtime := math.Exp(cfg.RuntimeMu + cfg.RuntimeSigma*bt.rnorm[i])
-		if runtime < 10 {
-			runtime = 10
-		}
-		estimate := runtime * (1 + bt.estU[i]*(cfg.OverestimateMax-1))
-
-		u := bt.queueU[i] * bt.wsum
-		queue := cfg.QueueNames[len(cfg.QueueNames)-1]
-		for qi, w := range cfg.QueueWeights {
-			if u <= w {
-				queue = cfg.QueueNames[qi]
-				break
-			}
-			u -= w
-		}
-		// Users route around advertised constraints: a job too long for
-		// its drawn queue goes to the next queue down that accommodates
-		// it; a job still too long for the last queue is shortened to fit
-		// (checkpoint-and-resubmit behavior).
-		for qi := indexOf(cfg.QueueNames, queue); qi < len(cfg.QueueNames); qi++ {
-			queue = cfg.QueueNames[qi]
-			ceil := cfg.QueueMaxRuntime[queue]
-			if ceil <= 0 || runtime <= ceil {
-				break
-			}
-			if qi == len(cfg.QueueNames)-1 {
-				runtime = ceil * 0.95
-			}
-		}
-		if ceil := cfg.QueueMaxRuntime[queue]; ceil > 0 && estimate > ceil {
-			estimate = ceil
-		}
-		if estimate < runtime {
-			estimate = runtime
-		}
-		// And within the queue's advertised processor cap.
-		if qcap, ok := cfg.QueueMaxProcs[queue]; ok && qcap > 0 && procs > qcap {
+		if qcap := bt.qcap[i]; qcap > 0 && procs > qcap {
 			procs = qcap
 		}
 
 		dst[i] = Job{
 			ID:       i,
-			Queue:    queue,
+			Queue:    bt.queue[i],
 			Procs:    procs,
 			Submit:   int64(t),
-			Estimate: estimate,
-			Runtime:  runtime,
+			Estimate: bt.estimate[i],
+			Runtime:  bt.runtime[i],
 			start:    -1,
 		}
 	}

@@ -8,8 +8,8 @@ import (
 // Kernel is the reusable simulation engine behind Run. It owns every piece
 // of replay state — the job arena, the pending and running sets, the
 // conservative-backfill availability profile, the reservation scratch, the
-// queue lookup tables — so back-to-back runs reuse the same memory instead
-// of rebuilding it: a steady-state kernel run performs ~0 allocations
+// per-job queue priorities — so back-to-back runs reuse the same memory
+// instead of rebuilding it: a steady-state kernel run performs ~0 allocations
 // regardless of job count. That is what makes the what-if plane viable:
 // a scenario grid executes dozens of calibrated replays per HTTP request,
 // each on a per-worker kernel, with no per-run garbage.
@@ -45,9 +45,6 @@ type Kernel struct {
 
 	boundaries []int64 // downtime capacity-change instants, sorted
 
-	class map[string]QueueClass
-	qprio map[string]int
-
 	orderSorter orderBySubmit
 
 	// Per-run event-loop state; fields rather than locals so the policy
@@ -75,12 +72,7 @@ type KernelResult struct {
 
 // NewKernel returns an empty kernel. Arenas grow on first use and are
 // retained across runs.
-func NewKernel() *Kernel {
-	return &Kernel{
-		class: make(map[string]QueueClass),
-		qprio: make(map[string]int),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Jobs returns the kernel's job arena resized to n. Contents are
 // unspecified (previous-run values); the caller must assign every field of
@@ -148,12 +140,6 @@ func (k *Kernel) Run(cfg Config) (*KernelResult, error) {
 	if len(cfg.Queues) == 0 {
 		return nil, fmt.Errorf("scheduler: at least one queue class required")
 	}
-	clear(k.qprio)
-	clear(k.class)
-	for _, q := range cfg.Queues {
-		k.qprio[q.Name] = q.Priority
-		k.class[q.Name] = q
-	}
 	jobs := k.jobs
 	if cap(k.prio) < len(jobs) {
 		k.prio = make([]int, len(jobs))
@@ -167,8 +153,8 @@ func (k *Kernel) Run(cfg Config) (*KernelResult, error) {
 		if j.Procs < 1 {
 			return nil, fmt.Errorf("scheduler: job %d wants %d procs", j.ID, j.Procs)
 		}
-		qc, ok := k.class[j.Queue]
-		if !ok {
+		qc := queueClass(cfg.Queues, j.Queue)
+		if qc == nil {
 			return nil, fmt.Errorf("scheduler: job %d names unknown queue %q", j.ID, j.Queue)
 		}
 		// Enforce the queue's advertised constraints the way batch systems
@@ -189,7 +175,7 @@ func (k *Kernel) Run(cfg Config) (*KernelResult, error) {
 			}
 		}
 		j.start = -1
-		k.prio[i] = k.qprio[j.Queue]
+		k.prio[i] = qc.Priority
 	}
 
 	if cap(k.order) < len(jobs) {
@@ -243,7 +229,7 @@ func (k *Kernel) Run(cfg Config) (*KernelResult, error) {
 		case tArr >= 0 && (tEnd < 0 || tArr <= tEnd):
 			k.now = tArr
 			for next < len(k.order) && jobs[k.order[next]].Submit == k.now {
-				k.pending = append(k.pending, k.order[next])
+				k.enqueue(k.order[next])
 				next++
 			}
 		case tEnd >= 0:
@@ -338,24 +324,31 @@ func (k *Kernel) endsRemove(r running) {
 	k.ends = k.ends[:len(k.ends)-1]
 }
 
-// sortPending orders waiting jobs by queue priority (descending) then
-// submission time, the priority-FCFS discipline. Insertion sort is stable,
-// so the order is identical to the sort.SliceStable it replaces — and since
-// pending stays sorted between events, each call is near-linear: only the
-// newly arrived suffix sifts into place.
-func (k *Kernel) sortPending() {
-	p, jobs := k.pending, k.jobs
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0; j-- {
-			a, b := p[j], p[j-1]
-			pa, pb := k.prio[a], k.prio[b]
-			if pa > pb || (pa == pb && jobs[a].Submit < jobs[b].Submit) {
-				p[j], p[j-1] = p[j-1], p[j]
-			} else {
-				break
-			}
+// enqueue inserts an arriving job into pending, which is kept in
+// priority-FCFS order: queue priority descending, then submission time.
+// The job goes after every waiting job of equal or higher priority. Jobs
+// arrive in submit order, so no waiting job was submitted later: this is
+// exactly where a stable sort of pending plus the arrival would put it,
+// and removals elsewhere preserve the order, so pending never needs a sort.
+func (k *Kernel) enqueue(ji int32) {
+	p := k.prio[ji]
+	i := sort.Search(len(k.pending), func(i int) bool { return k.prio[k.pending[i]] < p })
+	k.pending = append(k.pending, 0)
+	copy(k.pending[i+1:], k.pending[i:])
+	k.pending[i] = ji
+}
+
+// queueClass returns the class named name, or nil. A later entry wins over
+// an earlier one of the same name, as in a map filled in declaration
+// order. Queue lists hold a handful of classes, so a reverse scan is
+// cheaper per job than hashing the name.
+func queueClass(queues []QueueClass, name string) *QueueClass {
+	for i := len(queues) - 1; i >= 0; i-- {
+		if queues[i].Name == name {
+			return &queues[i]
 		}
 	}
+	return nil
 }
 
 // schedule starts every job the policy allows at the current event time.
@@ -363,7 +356,6 @@ func (k *Kernel) schedule(cfg Config) {
 	jobs := k.jobs
 	for {
 		progressed := false
-		k.sortPending()
 		// Start jobs in priority order while they fit. Consuming via a
 		// head cursor and compacting afterwards (rather than re-slicing
 		// pending[1:]) keeps the slice anchored at its backing array's

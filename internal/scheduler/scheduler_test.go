@@ -152,6 +152,32 @@ func TestPriorityQueues(t *testing.T) {
 	}
 }
 
+// TestDuplicateQueueLastWins pins how a queue named twice resolves: the
+// later class supplies both the priority and the constraints.
+func TestDuplicateQueueLastWins(t *testing.T) {
+	cfg := Config{
+		Procs: 4,
+		Queues: []QueueClass{
+			{Name: "q", Priority: 10, MaxProcs: 1},
+			{Name: "other", Priority: 5},
+			{Name: "q", Priority: 1},
+		},
+	}
+	jobs := []*Job{
+		{ID: 0, Queue: "q", Procs: 4, Submit: 0, Runtime: 10, Estimate: 10},
+		{ID: 1, Queue: "q", Procs: 4, Submit: 5, Runtime: 10, Estimate: 10},
+		{ID: 2, Queue: "other", Procs: 4, Submit: 5, Runtime: 10, Estimate: 10},
+	}
+	if _, err := Run(cfg, jobs); err != nil {
+		t.Fatalf("later class's unlimited MaxProcs not applied: %v", err)
+	}
+	// At t=10 both waiters fit only one at a time; "other" (priority 5)
+	// outranks the later "q" (priority 1), not the earlier one (10).
+	if jobs[2].Start() != 10 || jobs[1].Start() != 20 {
+		t.Errorf("starts: other %d q %d, want 10 and 20", jobs[2].Start(), jobs[1].Start())
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}, nil); err == nil {
 		t.Error("empty config should fail")
