@@ -69,13 +69,12 @@ func main() {
 		byProcs     = flag.Bool("by-procs", true, "one predictor per queue × processor category")
 		quantile    = flag.Float64("quantile", 0.95, "quantile of queue delay to bound")
 		confidence  = flag.Float64("confidence", 0.95, "confidence level of the bound")
-		statePath   = flag.String("state", "", "state file: loaded at startup if present, saved periodically and on shutdown")
+		statePath   = flag.String("state", "", "state directory: loaded at startup if present (a legacy single state file there is migrated once), saved periodically and on shutdown")
 		saveEvery   = flag.Duration("save-interval", 5*time.Minute, "state save period (with -state)")
 		walDir      = flag.String("wal", "", "write-ahead log directory: observations are logged before being applied and replayed on startup")
 		walSync     = flag.String("wal-sync", "1s", `WAL fsync policy: "always", "off", or a flush interval like "1s" (with -wal)`)
 		walGroup    = flag.Bool("wal-group-commit", false, "coalesce concurrent WAL commits into shared fsyncs (with -wal-sync always)")
-		strictState = flag.Bool("strict-state", false, "refuse to start on a corrupt state file instead of quarantining it and starting fresh")
-		stateShards = flag.Int("state-shards", 0, "save state as a sharded directory with this many shard files instead of one blob (large registries; -state names a directory)")
+		strictState = flag.Bool("strict-state", false, "refuse to start on corrupt state instead of quarantining it and starting fresh")
 		streamTTL   = flag.Duration("stream-ttl", 0, "evict streams idle longer than this to compact cold state (0 disables; reads keep serving, the next write rehydrates)")
 		maxStreams  = flag.Int("max-streams", 0, "cap on hydrated streams: the longest-idle are evicted past it (0 disables)")
 		logRequests = flag.Bool("log-requests", false, "log every request (method, path, status, duration)")
@@ -119,29 +118,19 @@ func main() {
 		qbets.WithQuantile(*quantile),
 		qbets.WithConfidence(*confidence),
 	)
-	// saveState abstracts over the two state formats: one JSON blob
-	// (default) or a sharded directory (-state-shards, the million-stream
-	// format — parallel save, cold-adopting parallel load).
-	saveState := func() error {
-		if *stateShards > 0 {
-			return server.SaveShards(*statePath, *stateShards)
-		}
-		return server.SaveFile(*statePath)
-	}
-	loadState := func() error {
-		if *stateShards > 0 {
-			return server.LoadShards(*statePath)
-		}
-		return server.LoadFile(*statePath)
-	}
 	if *statePath != "" {
-		switch err := loadState(); {
+		fi, statErr := os.Stat(*statePath)
+		legacy := statErr == nil && fi.Mode().IsRegular()
+		switch err := server.Service().LoadShards(*statePath); {
+		case err == nil && legacy:
+			log.Printf("migrated legacy state file %s to a state directory (%d streams; the file is kept as %s.legacy-*)",
+				*statePath, server.Service().NumStreams(), *statePath)
 		case err == nil:
 			log.Printf("restored state from %s (%d streams)", *statePath, server.Service().NumStreams())
 		case os.IsNotExist(err):
 			log.Printf("no state at %s yet; starting fresh", *statePath)
 		case !errors.Is(err, qbets.ErrCorruptState):
-			// An I/O or permission failure, not corruption: the file may be
+			// An I/O or permission failure, not corruption: the state may be
 			// perfectly intact, so quarantining it would throw away good
 			// state. Fail fast and let the operator (or supervisor restart)
 			// resolve it.
@@ -156,7 +145,7 @@ func main() {
 			if qerr != nil {
 				log.Fatalf("loading %s: %v; quarantine also failed: %v", *statePath, err, qerr)
 			}
-			log.Printf("state file %s is corrupt (%v); moved to %s, starting fresh", *statePath, err, quarantined)
+			log.Printf("state at %s is corrupt (%v); moved to %s, starting fresh", *statePath, err, quarantined)
 		}
 	}
 
@@ -253,7 +242,7 @@ func main() {
 			for {
 				select {
 				case <-tick.C:
-					if err := saveState(); err != nil {
+					if err := server.Service().SaveShards(*statePath); err != nil {
 						log.Printf("state save failed: %v", err)
 					}
 				case <-ctx.Done():
@@ -378,7 +367,7 @@ func main() {
 		replLeader.Close()
 	}
 	if *statePath != "" {
-		if err := saveState(); err != nil {
+		if err := server.Service().SaveShards(*statePath); err != nil {
 			log.Printf("final state save failed: %v", err)
 		} else {
 			log.Printf("state saved to %s", *statePath)

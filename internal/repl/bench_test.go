@@ -142,7 +142,7 @@ func BenchmarkSnapshotCatchup(b *testing.B) {
 	if _, err := w.Replay(func(wal.Record) {}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 1); err != nil {
+	if _, err := appendOne(w, "q", 1, 1); err != nil {
 		b.Fatal(err)
 	}
 

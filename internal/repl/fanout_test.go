@@ -21,7 +21,7 @@ import (
 func TestNoBatchShipsAfterFence(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func TestNoBatchShipsAfterFence(t *testing.T) {
 	sent := l.BatchesSent()
 	applied := app.ReplicaAppliedSeq()
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append("q", 1, 1); err != nil {
+		if _, err := appendOne(w, "q", 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func (a *gatedApp) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 func TestWindowBackpressureBoundsInflight(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	for i := 0; i < 12; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestQuorumCommitWait(t *testing.T) {
 		t.Fatalf("Quorum() = %d", l.Quorum())
 	}
 
-	seq, err := w.Append("q", 1, 1)
+	seq, err := appendOne(w, "q", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestQuorumCommitWait(t *testing.T) {
 func TestBatchCacheSharesFramesAcrossFollowers(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	for i := 0; i < 50; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func (s *stubStreamSnap) OpenReplicaSnapshotStream() (SnapshotStream, error) {
 func TestChunkedSnapshotAssemblesOnPlainFollower(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 64})
 	for i := 0; i < 30; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestChunkedSnapshotAssemblesOnPlainFollower(t *testing.T) {
 		t.Fatal("snapshots-sent counter never moved")
 	}
 	// The stream tails live after the install.
-	seq, err := w.Append("q", 1, 1)
+	seq, err := appendOne(w, "q", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestChunkedSnapshotAssemblesOnPlainFollower(t *testing.T) {
 func TestConcurrentCatchupsShareSnapshotGeneration(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 64})
 	for i := 0; i < 30; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

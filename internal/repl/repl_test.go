@@ -363,7 +363,7 @@ func startFollower(t *testing.T, app ReplicaApp, tr Transport, epoch uint64) *Fo
 func TestLeaderFollowerShipsBatches(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,7 +386,7 @@ func TestLeaderFollowerShipsBatches(t *testing.T) {
 	}
 
 	// Live tail: new appends ship and CommitWait sees the acks.
-	seq, err := w.Append("q", 99, 99)
+	seq, err := appendOne(w, "q", 99, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestLeaderFollowerShipsBatches(t *testing.T) {
 func TestLeaderSnapshotsCompactedFollower(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 64})
 	for i := 0; i < 30; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,7 +442,7 @@ func TestLeaderSnapshotsCompactedFollower(t *testing.T) {
 	}
 
 	// After catch-up the follower tails live appends.
-	seq, err := w.Append("q", 1, 1)
+	seq, err := appendOne(w, "q", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestLeaderSnapshotsCompactedFollower(t *testing.T) {
 func TestFreshFollowerGetsSnapshotOnEpochMismatch(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func TestRestartedLeaderSnapshotCoversReplayedLog(t *testing.T) {
 	fs := wal.NewMemFS()
 	prev := newTestWAL(t, wal.Options{FS: fs, Mode: wal.SyncEachRecord})
 	for i := 1; i <= replayed; i++ {
-		if _, err := prev.Append("q", float64(i), int64(i)); err != nil {
+		if _, err := appendOne(prev, "q", float64(i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,7 +527,7 @@ func TestRestartedLeaderSnapshotCoversReplayedLog(t *testing.T) {
 		t.Fatalf("after catch-up: %d snapshots covering seq %d, want 1 covering %d", installs, applied, replayed)
 	}
 
-	seq, err := w.Append("q", 99, 99)
+	seq, err := appendOne(w, "q", 99, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestRestartedLeaderSnapshotCoversReplayedLog(t *testing.T) {
 
 func TestHigherEpochFencesLeaderBeforeAckWatermark(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
-	seq, err := w.Append("q", 1, 1)
+	seq, err := appendOne(w, "q", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func TestFollowerRejectsStaleLeader(t *testing.T) {
 
 func TestFollowerReconnectsAfterApplyFailure(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
-	if _, err := w.Append("q", 1, 1); err != nil {
+	if _, err := appendOne(w, "q", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	tr := NewMemTransport()
@@ -669,4 +669,9 @@ func TestBackoffBounds(t *testing.T) {
 			t.Fatalf("attempt %d: backoff %v above the cap", attempt, d)
 		}
 	}
+}
+
+// appendOne logs a single record as a one-entry AppendBatch.
+func appendOne(w *wal.WAL, key string, wait float64, unixNanos int64) (uint64, error) {
+	return w.AppendBatch([]wal.Entry{{Key: key, Wait: wait, UnixNanos: unixNanos}})
 }

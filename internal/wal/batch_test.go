@@ -23,7 +23,7 @@ func TestAppendBatchSequencesAndReplay(t *testing.T) {
 	}
 
 	var want []Record
-	seq, err := w.Append("solo", 1.5, 10)
+	seq, err := appendOne(w, "solo", 1.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAppendBatchSequencesAndReplay(t *testing.T) {
 		want = append(want, Record{Seq: first + uint64(i), Key: e.Key, Wait: e.Wait, UnixNanos: e.UnixNanos})
 	}
 
-	seq2, err := w.Append("tail", 5, 50)
+	seq2, err := appendOne(w, "tail", 5, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAppendBatchMatchesIndividualAppends(t *testing.T) {
 
 	single := replayAll(NewMemFS(), func(w *WAL) {
 		for _, e := range entries {
-			if _, err := w.Append(e.Key, e.Wait, e.UnixNanos); err != nil {
+			if _, err := appendOne(w, e.Key, e.Wait, e.UnixNanos); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestAppendBatchValidation(t *testing.T) {
 		t.Fatalf("empty batch: (%d, %v), want (0, nil)", first, err)
 	}
 
-	before, err := w.Append("q", 1, 0)
+	before, err := appendOne(w, "q", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestAppendBatchValidation(t *testing.T) {
 	if _, err := w.AppendBatch(bad); err == nil {
 		t.Fatal("oversized key in batch accepted")
 	}
-	after, err := w.Append("q", 2, 0)
+	after, err := appendOne(w, "q", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 					acked[first+1] = wait + 0.5
 					mu.Unlock()
 				} else {
-					seq, err := w.Append("q", wait, 0)
+					seq, err := appendOne(w, "q", wait, 0)
 					if err != nil {
 						t.Errorf("goroutine %d append %d: %v", g, i, err)
 						return
@@ -388,13 +388,13 @@ func TestGroupCommitSyncFailureHeals(t *testing.T) {
 	if _, err := w.Replay(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 0); err != nil {
+	if _, err := appendOne(w, "q", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	bang := errors.New("sync exploded")
 	fs.FailSyncs(bang)
-	if _, err := w.Append("q", 2, 0); !errors.Is(err, bang) {
+	if _, err := appendOne(w, "q", 2, 0); !errors.Is(err, bang) {
 		t.Fatalf("append during sync failure: err = %v, want %v", err, bang)
 	}
 	if _, err := w.AppendBatch([]Entry{{Key: "q", Wait: 3}}); !errors.Is(err, bang) {
@@ -402,7 +402,7 @@ func TestGroupCommitSyncFailureHeals(t *testing.T) {
 	}
 
 	fs.Clear()
-	seq, err := w.Append("q", 4, 0)
+	seq, err := appendOne(w, "q", 4, 0)
 	if err != nil {
 		t.Fatalf("append after heal: %v", err)
 	}

@@ -72,7 +72,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				} else {
 					key := keys[rng.Intn(len(keys))]
 					wait := rng.ExpFloat64() * 600
-					seq, err := w.Append(key, wait, int64(i))
+					seq, err := appendOne(w, key, wait, int64(i))
 					if err != nil {
 						t.Fatalf("append %d: %v", i, err)
 					}
@@ -161,7 +161,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 			}
 			// (3) Post-crash appends resume above every recovered sequence.
-			seq, err := w2.Append("post", 1, 0)
+			seq, err := appendOne(w2, "post", 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 		total := 0
 		appendSome := func(k int) {
 			for i := 0; i < k; i++ {
-				if _, err := w.Append("q", float64(total), 0); err != nil {
+				if _, err := appendOne(w, "q", float64(total), 0); err != nil {
 					t.Fatal(err)
 				}
 				total++
@@ -253,7 +253,7 @@ func TestCrashAfterReplayKeepsReplayedRecords(t *testing.T) {
 		}
 		synced := 20 + rng.Intn(80)
 		for i := 1; i <= synced; i++ {
-			if _, err := w.Append("q", float64(i), 0); err != nil {
+			if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,7 +318,7 @@ func TestCrashReplaySyncFailureRefusesLog(t *testing.T) {
 	if _, err := w.Replay(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 0); err != nil {
+	if _, err := appendOne(w, "q", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -336,7 +336,7 @@ func TestCrashReplaySyncFailureRefusesLog(t *testing.T) {
 	if got := w2.SyncedSeq(); got != 0 {
 		t.Fatalf("watermark %d published after a failed replay sync", got)
 	}
-	if _, err := w2.Append("q", 2, 0); err == nil {
+	if _, err := appendOne(w2, "q", 2, 0); err == nil {
 		t.Fatal("append accepted after a failed replay")
 	}
 }

@@ -23,7 +23,7 @@ func TestTailReaderStreamsCommittedRecords(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})
 	for i := 0; i < 25; i++ {
-		if _, err := w.Append(fmt.Sprintf("q%d", i%3), float64(i), int64(i)); err != nil {
+		if _, err := appendOne(w, fmt.Sprintf("q%d", i%3), float64(i), int64(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestTailReaderStreamsCommittedRecords(t *testing.T) {
 	}
 	// Appends after the reader drained the log become visible on the next
 	// call — the live-tail case a shipper depends on.
-	if _, err := w.Append("late", 9, 9); err != nil {
+	if _, err := appendOne(w, "late", 9, 9); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	recs, gap, err := tr.Read(w.SyncedSeq(), 10)
@@ -66,7 +66,7 @@ func TestTailReaderHonorsWatermark(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncOff})
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append("q", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestTailReaderResumesAcrossRotation(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord, SegmentBytes: 128})
 	for i := 0; i < 40; i++ {
-		if _, err := w.Append("rot", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "rot", float64(i), 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestTailReaderReportsCompactionGap(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord, SegmentBytes: 64})
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append("gap", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "gap", float64(i), 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestTailReaderReportsCompactionGap(t *testing.T) {
 	if err := w.RemoveSegmentsBelow(cut); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if _, err := w.Append("gap", 99, 0); err != nil {
+	if _, err := appendOne(w, "gap", 99, 0); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	// A fresh reader at the head of a compacted log cannot supply the
@@ -151,7 +151,7 @@ func TestTailReaderSkipsTornTailLikeReplay(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})
 	for i := 0; i < 3; i++ {
-		if _, err := w.Append("a", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "a", float64(i), 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestTailReaderSkipsTornTailLikeReplay(t *testing.T) {
 	// tail reader must skip the same bytes rather than stall on them.
 	fs.TornAppend("wal/"+segName(1), []byte("\x00garbage\xff\xff"))
 	for i := 0; i < 2; i++ {
-		if _, err := w.Append("b", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "b", float64(i), 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestNotifySyncSignalsWatermarkAdvance(t *testing.T) {
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})
 	ch := make(chan struct{}, 1)
 	w.NotifySync(ch)
-	if _, err := w.Append("n", 1, 0); err != nil {
+	if _, err := appendOne(w, "n", 1, 0); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	select {
@@ -277,7 +277,7 @@ func TestCrashDropsCreatedButUnsyncedDirEntries(t *testing.T) {
 	// record survives; a WAL whose SyncDir is a no-op loses it.
 	appendOne := func(fs FS) {
 		w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})
-		if _, err := w.Append("acked", 1, 0); err != nil {
+		if _, err := appendOne(w, "acked", 1, 0); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -318,7 +318,7 @@ func TestCrashKeepsDirSyncedSegments(t *testing.T) {
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord, SegmentBytes: 64})
 	const n = 30
 	for i := 0; i < n; i++ {
-		if _, err := w.Append("k", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "k", float64(i), 0); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}

@@ -46,11 +46,11 @@ type SyncMode int
 
 const (
 	// SyncEachRecord flushes and fsyncs after every append: a nil error
-	// from Append means the record is on stable storage.
+	// from AppendBatch means the record is on stable storage.
 	SyncEachRecord SyncMode = iota
 	// SyncInterval flushes and fsyncs on a background ticker every
 	// Options.Interval; a crash can lose at most that window. The ticker
-	// (rather than a clock check on the append path) keeps Append free of
+	// (rather than a clock check on the append path) keeps AppendBatch free of
 	// time syscalls and bounds the loss window even when appends are
 	// sparse — a lone record never sits unsynced waiting for the next one.
 	SyncInterval
@@ -99,7 +99,7 @@ type ReplayStats struct {
 const segMagic = "QBWAL\x00v1"
 
 // WAL is an append-only observation log. It is safe for concurrent use.
-// The lifecycle is Open → Replay (exactly once) → Append/Rotate/… → Close.
+// The lifecycle is Open → Replay (exactly once) → AppendBatch/Rotate/… → Close.
 type WAL struct {
 	dir string
 	opt Options
@@ -114,7 +114,7 @@ type WAL struct {
 	// syncErr is the sticky record of a failed background sync
 	// (SyncInterval mode only): records acknowledged since the previous
 	// successful sync may be lost even though the process never crashed,
-	// so Append refuses with this error — pushing the service into
+	// so AppendBatch refuses with this error — pushing the service into
 	// read-only — until syncLoop's recovery probe proves the disk takes
 	// durable writes again.
 	syncErr error
@@ -168,13 +168,13 @@ type segment struct {
 }
 
 var (
-	errNotReplayed = errors.New("wal: Replay must run before Append")
+	errNotReplayed = errors.New("wal: Replay must run before AppendBatch")
 	errClosed      = errors.New("wal: closed")
 	errReplayTwice = errors.New("wal: Replay already ran")
 )
 
 // Open prepares a WAL over dir, creating it if needed. No segment is
-// opened for writing until the first Append; call Replay first.
+// opened for writing until the first AppendBatch; call Replay first.
 func Open(dir string, opt Options) (*WAL, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = 8 << 20
@@ -212,7 +212,7 @@ func Open(dir string, opt Options) (*WAL, error) {
 // is recorded stickily on the WAL (see syncErr): the poisoned segment is
 // abandoned — after an fsync error the kernel may have dropped its dirty
 // pages, and a retried fsync on the same file can falsely succeed — and
-// every Append returns the error until a once-per-interval probe proves a
+// every AppendBatch returns the error until a once-per-interval probe proves a
 // fresh segment accepts a durable write.
 func (w *WAL) syncLoop() {
 	defer close(w.tickDone)
@@ -452,37 +452,6 @@ func (w *WAL) appendFinishLocked(last uint64) error {
 	return nil
 }
 
-// Append logs one observation and returns its sequence number. Whether a
-// nil error implies durability depends on the sync policy (see SyncMode).
-// A failed append poisons the active segment; the next append starts a
-// fresh one, so replay after recovery is never blocked by one bad tail.
-// On error the returned sequence number must not be trusted.
-func (w *WAL) Append(key string, wait float64, unixNanos int64) (uint64, error) {
-	w.mu.Lock()
-	if err := w.appendPrepareLocked(); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	if len(key) > MaxKeyLen {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("wal: key of %d bytes exceeds limit %d", len(key), MaxKeyLen)
-	}
-	// The sequence number is consumed even if the write fails: a torn
-	// frame may still be recovered whole at replay, and reusing its number
-	// would let two different records share a sequence.
-	seq := w.nextSeq
-	w.nextSeq++
-	w.encBuf = appendRecord(w.encBuf[:0], Record{Seq: seq, Key: key, Wait: wait, UnixNanos: unixNanos})
-	n, err := w.active.w.Write(w.encBuf)
-	w.active.size += int64(n)
-	if err != nil {
-		w.active.failed.Store(true)
-		w.mu.Unlock()
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	return seq, w.appendFinishLocked(seq)
-}
-
 // Entry is one observation in an AppendBatch: a Record minus the sequence
 // number, which the WAL assigns at append time.
 type Entry struct {
@@ -495,17 +464,17 @@ type Entry struct {
 // between appends; anything bigger is released after use.
 const maxEncBuf = 1 << 20
 
-// AppendBatch logs a batch of observations as consecutive records and
-// returns the sequence number assigned to entries[0]; entry i carries
-// firstSeq+i. The whole batch is framed into one buffer and issued as a
-// single write, and under SyncEachRecord it is made durable by a single
-// fsync (or one group commit) — bulk ingest pays per batch what Append
-// pays per record. The frames are ordinary records, so a power cut
-// mid-batch tears at a record boundary: replay recovers a prefix of the
-// batch, exactly as if the same records had been appended individually.
-// On error no entry is acknowledged; as with Append, frames that reached
-// the disk anyway are recovered at replay and deduplicated by the caller's
-// sequence anchoring.
+// AppendBatch logs observations as consecutive records and returns the
+// sequence number of entries[0]; entry i carries firstSeq+i. It is the
+// WAL's only append (one observation is a one-entry batch): the batch is
+// framed into one buffer, issued as one write and, under SyncEachRecord,
+// made durable by one fsync or group commit. A power cut mid-batch tears
+// at a record boundary, so replay recovers a prefix of the batch. Whether
+// a nil error means durable depends on the SyncMode. On error no entry is
+// acknowledged, yet the sequence numbers stay consumed — frames that
+// reached the disk are recovered at replay and deduplicated by the
+// caller's sequence anchors — and the poisoned segment is abandoned, so
+// one bad tail never blocks replay.
 func (w *WAL) AppendBatch(entries []Entry) (firstSeq uint64, err error) {
 	if len(entries) == 0 {
 		return 0, nil

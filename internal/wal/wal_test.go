@@ -82,7 +82,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	for i := 0; i < 257; i++ {
 		key := keys[i%len(keys)]
 		wait := float64(i) * 1.5
-		seq, err := w.Append(key, wait, int64(i))
+		seq, err := appendOne(w, key, wait, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	// Appends resume past the replayed sequence numbers.
-	seq, err := w2.Append("normal", 1, 1)
+	seq, err := appendOne(w2, "normal", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	// Tiny segments force rotation every few records.
 	w := mustOpen(t, dir, Options{SegmentBytes: 256, Mode: SyncOff})
 	for i := 0; i < 100; i++ {
-		if _, err := w.Append("q", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestRotationAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append("q", float64(100+i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(100+i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestReplayTruncatesCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := w.Append("q", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestReplayToleratesCorruptMiddleSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := w.Append("q", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestAppendFailurePoisonsSegment(t *testing.T) {
 	}
 	var acked []uint64
 	for i := 0; i < 5; i++ {
-		seq, err := w.Append("q", float64(i), 0)
+		seq, err := appendOne(w, "q", float64(i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,16 +272,16 @@ func TestAppendFailurePoisonsSegment(t *testing.T) {
 	// Short write then hard failure: the disk is "full".
 	bang := errors.New("disk full")
 	fs.FailWritesAfter(0, bang, true)
-	if _, err := w.Append("q", 99, 0); err == nil {
+	if _, err := appendOne(w, "q", 99, 0); err == nil {
 		t.Fatal("append succeeded under write fault")
 	}
-	if _, err := w.Append("q", 99, 0); err == nil {
+	if _, err := appendOne(w, "q", 99, 0); err == nil {
 		t.Fatal("append succeeded while fault armed")
 	}
 	// Disk recovers; appends must resume (on a fresh segment, past the
 	// poisoned tail) and be recoverable.
 	fs.Clear()
-	seq, err := w.Append("q", 7, 0)
+	seq, err := appendOne(w, "q", 7, 0)
 	if err != nil {
 		t.Fatalf("append after fault cleared: %v", err)
 	}
@@ -317,7 +317,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append("q", float64(i), 0); err != nil {
+		if _, err := appendOne(w, "q", float64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +342,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 }
 
 // TestSyncIntervalStickyFailure: a failed background sync must not stay
-// invisible — the next Append returns the error (stickily), so the service
+// invisible — the next AppendBatch returns the error (stickily), so the service
 // degrades to read-only instead of acking records into a log that is
 // silently dropping them. Once the disk recovers, the per-interval probe
 // clears the error and appends resume on a fresh segment.
@@ -355,16 +355,16 @@ func TestSyncIntervalStickyFailure(t *testing.T) {
 	if _, err := w.Replay(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 0); err != nil {
+	if _, err := appendOne(w, "q", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	bang := errors.New("sync: input/output error")
 	fs.FailSyncs(bang)
-	// The ticker's next sync fails; from then on Append must refuse.
+	// The ticker's next sync fails; from then on AppendBatch must refuse.
 	deadline := time.Now().Add(5 * time.Second)
 	var appendErr error
 	for time.Now().Before(deadline) {
-		if _, appendErr = w.Append("q", 2, 0); appendErr != nil {
+		if _, appendErr = appendOne(w, "q", 2, 0); appendErr != nil {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -376,7 +376,7 @@ func TestSyncIntervalStickyFailure(t *testing.T) {
 		t.Fatalf("explicit Sync hides pending failure: %v", err)
 	}
 	// While the fault persists the error stays sticky.
-	if _, err := w.Append("q", 3, 0); !errors.Is(err, bang) {
+	if _, err := appendOne(w, "q", 3, 0); !errors.Is(err, bang) {
 		t.Fatalf("sticky error cleared without a successful sync: %v", err)
 	}
 	// Disk recovers: the probe clears the error within an interval or two
@@ -384,7 +384,7 @@ func TestSyncIntervalStickyFailure(t *testing.T) {
 	fs.Clear()
 	var seq uint64
 	for time.Now().Before(deadline) {
-		if seq, err = w.Append("q", 4, 0); err == nil {
+		if seq, err = appendOne(w, "q", 4, 0); err == nil {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -410,7 +410,7 @@ func TestAppendBeforeReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 0); !errors.Is(err, errNotReplayed) {
+	if _, err := appendOne(w, "q", 1, 0); !errors.Is(err, errNotReplayed) {
 		t.Fatalf("want errNotReplayed, got %v", err)
 	}
 	if _, err := w.Replay(nil); err != nil {
@@ -422,7 +422,12 @@ func TestAppendBeforeReplayRejected(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append("q", 1, 0); !errors.Is(err, errClosed) {
+	if _, err := appendOne(w, "q", 1, 0); !errors.Is(err, errClosed) {
 		t.Fatalf("want errClosed after Close, got %v", err)
 	}
+}
+
+// appendOne logs a single record as a one-entry AppendBatch.
+func appendOne(w *WAL, key string, wait float64, unixNanos int64) (uint64, error) {
+	return w.AppendBatch([]Entry{{Key: key, Wait: wait, UnixNanos: unixNanos}})
 }

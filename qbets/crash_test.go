@@ -49,7 +49,7 @@ func TestCrashRecoverySnapshotPlusLogTail(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		dir := t.TempDir()
-		statePath := filepath.Join(dir, "state.bin")
+		statePath := filepath.Join(dir, "state")
 		walDir := filepath.Join(dir, "wal")
 
 		w, err := wal.Open(walDir, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 512})
@@ -77,14 +77,14 @@ func TestCrashRecoverySnapshotPlusLogTail(t *testing.T) {
 		}
 
 		observe(60 + rng.Intn(100))
-		if err := svc.SaveFile(statePath); err != nil {
+		if err := svc.SaveShards(statePath); err != nil {
 			t.Fatal(err)
 		}
 		observe(rng.Intn(120)) // the log tail the snapshot does not cover
 
 		// Crash: the process dies. SyncEachRecord means every observe above
 		// is on disk; a second snapshot never happens.
-		restored, err := qbets.LoadServiceFile(statePath, false, qbets.WithSeed(1))
+		restored, err := qbets.LoadServiceShards(statePath, false, qbets.WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +109,10 @@ func TestCrashRecoverySnapshotPlusLogTail(t *testing.T) {
 	}
 }
 
-// TestSaveFileCompactsWAL verifies the snapshot path actually deletes the
-// log segments the snapshot covers, so the log's disk footprint is bounded
-// by the save interval rather than process lifetime.
-func TestSaveFileCompactsWAL(t *testing.T) {
+// TestSaveShardsCompactsWAL verifies the snapshot path actually deletes
+// the log segments the snapshot covers, so the log's disk footprint is
+// bounded by the save interval rather than process lifetime.
+func TestSaveShardsCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	w, err := wal.Open(walDir, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 256})
@@ -135,7 +135,7 @@ func TestSaveFileCompactsWAL(t *testing.T) {
 	if len(before) < 2 {
 		t.Fatalf("expected multiple segments before compaction, got %d", len(before))
 	}
-	if err := svc.SaveFile(filepath.Join(dir, "state.bin")); err != nil {
+	if err := svc.SaveShards(filepath.Join(dir, "state")); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadDir(walDir)
@@ -159,22 +159,79 @@ func TestSaveFileCompactsWAL(t *testing.T) {
 	}
 }
 
+// TestRestartAfterFullCompaction: a save that compacts every segment
+// leaves an empty log, and a log reopened empty numbers from 1 again. The
+// restarted service must still log new records above the snapshot's
+// anchors — otherwise the next recovery skips them as already covered and
+// loses acked observations.
+func TestRestartAfterFullCompaction(t *testing.T) {
+	dir := t.TempDir()
+	statePath, walDir := filepath.Join(dir, "state"), filepath.Join(dir, "wal")
+	oracle := qbets.NewService(false, qbets.WithSeed(1))
+	restart := func() (*qbets.Service, *wal.WAL) {
+		svc := qbets.NewService(false, qbets.WithSeed(1))
+		if err := svc.LoadShards(statePath); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		w, err := wal.Open(walDir, wal.Options{Mode: wal.SyncEachRecord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RecoverWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		return svc, w
+	}
+	observe := func(svc *qbets.Service, n int) {
+		for i := 0; i < n; i++ {
+			wait := float64(10 + (i*37)%500)
+			if err := svc.Observe("normal", 1, wait); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.Observe("normal", 1, wait); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	svc, w := restart()
+	observe(svc, 100)
+	if err := svc.SaveShards(statePath); err != nil { // compacts every segment
+		t.Fatal(err)
+	}
+	w.Close()
+
+	svc, _ = restart()
+	observe(svc, 50) // acked durable; then the process dies without a save
+
+	svc, _ = restart()
+	if err := crashprop.Equivalent(svc, oracle); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuarantineStateFile covers the corrupt-snapshot startup path: the
-// bad file is moved aside (evidence preserved), not deleted, and the
-// original path is free for a fresh snapshot.
+// bad state is moved aside (evidence preserved), not deleted, and the
+// original path is free for a fresh snapshot. A corrupt legacy state file
+// takes the same path as a corrupt state directory.
 func TestQuarantineStateFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.bin")
 	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qbets.LoadServiceFile(path, false); !errors.Is(err, qbets.ErrCorruptState) {
-		t.Fatalf("corrupt state file: err = %v, want ErrCorruptState (it gates quarantine)", err)
+	if _, err := qbets.LoadServiceShards(path, false); !errors.Is(err, qbets.ErrCorruptState) {
+		t.Fatalf("corrupt legacy state file: err = %v, want ErrCorruptState (it gates quarantine)", err)
 	}
 	// An I/O failure is not corruption: the startup path must fail fast on
-	// it instead of quarantining a possibly intact file.
-	if _, err := qbets.LoadServiceFile(dir, false); err == nil || errors.Is(err, qbets.ErrCorruptState) {
-		t.Fatalf("read error misclassified as corruption: %v", err)
+	// it instead of quarantining possibly intact state. Here CURRENT is
+	// unreadable (a directory).
+	unreadable := filepath.Join(dir, "unreadable")
+	if err := os.MkdirAll(filepath.Join(unreadable, "CURRENT"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qbets.LoadServiceShards(unreadable, false); err == nil || errors.Is(err, qbets.ErrCorruptState) || os.IsNotExist(err) {
+		t.Fatalf("read error misclassified as corruption or absence: %v", err)
 	}
 	qpath, err := qbets.QuarantineStateFile(path)
 	if err != nil {
@@ -189,6 +246,68 @@ func TestQuarantineStateFile(t *testing.T) {
 	moved, err := os.ReadFile(qpath)
 	if err != nil || string(moved) != "not json at all" {
 		t.Fatalf("quarantined contents lost: %q, %v", moved, err)
+	}
+}
+
+// TestMigratedLegacyStatePlusLogTail is TestCrashRecoverySnapshotPlusLogTail
+// across the format migration: a snapshot in the retired single-file
+// format, then a log tail, then a crash. Startup migrates the file into a
+// state directory and replays the tail on top; the result must match a
+// never-restarted oracle exactly.
+func TestMigratedLegacyStatePlusLogTail(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(int64(700 + trial)))
+		dir := t.TempDir()
+		statePath := filepath.Join(dir, "state.json")
+		walDir := filepath.Join(dir, "wal")
+
+		w, err := wal.Open(walDir, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := qbets.NewService(false, qbets.WithSeed(1))
+		if _, err := svc.RecoverWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		oracle := qbets.NewService(false, qbets.WithSeed(1))
+		observe := func(k int) {
+			for i := 0; i < k; i++ {
+				q := crashprop.TrialQueues[rng.Intn(len(crashprop.TrialQueues))]
+				wait := rng.ExpFloat64() * 300
+				if err := svc.Observe(q, 1, wait); err != nil {
+					t.Fatal(err)
+				}
+				if err := oracle.Observe(q, 1, wait); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		observe(100 + rng.Intn(200))
+		blob, err := qbets.EncodeLegacyState(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(statePath, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		observe(rng.Intn(150)) // the log tail the legacy snapshot does not cover
+
+		restored, err := qbets.LoadServiceShards(statePath, false, qbets.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2, err := wal.Open(walDir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restored.RecoverWAL(w2); err != nil {
+			t.Fatal(err)
+		}
+		if err := crashprop.Equivalent(restored, oracle); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		w2.Close()
 	}
 }
 

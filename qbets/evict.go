@@ -24,7 +24,7 @@ import (
 
 // rehydrateLocked restores an evicted stream's forecaster from its cold
 // blob. Caller holds the stream's write lock; on return the stream is
-// fully hydrated and settled, ready for applyLocked.
+// fully hydrated and settled, ready for applyRunLocked.
 func (st *stream) rehydrateLocked(s *Service) error {
 	fc := New()
 	if err := fc.UnmarshalBinary(st.cold); err != nil {

@@ -157,7 +157,7 @@ func TestEvictWALReplayOracle(t *testing.T) {
 		case 1:
 			// Sharded snapshot mid-traffic with a mix of hot and cold
 			// streams; compacts the WAL under the recovery anchor.
-			if err := svc.SaveShards(stateDir, 4); err != nil {
+			if err := svc.saveShards(stateDir, 4); err != nil {
 				t.Fatalf("SaveShards: %v", err)
 			}
 		}

@@ -3,6 +3,7 @@ package qbets
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -15,9 +16,9 @@ import (
 // {Queue string, Procs int} struct: field names match case-insensitively,
 // unknown fields are skipped, duplicates take the last value, null leaves
 // a field unset, queue strings route through the same intern cache as the
-// observe path, and malformed input is rejected (the one relaxation:
-// numbers inside skipped unknown-field values are scanned, not fully
-// validated).
+// observe path, nesting deeper than encoding/json's limit is refused, and
+// malformed input is rejected (the one relaxation: a bare number as the
+// value of a skipped unknown field is scanned, not fully validated).
 
 // shapeFieldError is a per-shape validation failure; the index names the
 // offending array element so a client can fix exactly that shape.
@@ -267,8 +268,8 @@ func (p *shapeParser) parseQueueValue() (string, bool, error) {
 }
 
 // parseIntValue decodes the procs field: null leaves it unset; otherwise a
-// JSON integer, rejecting fractions, exponents, and leading zeros exactly
-// as encoding/json does for an int target.
+// JSON integer, rejecting fractions, exponents, leading zeros and values
+// outside int64 exactly as encoding/json does for an int target.
 func (p *shapeParser) parseIntValue() (int, bool, error) {
 	if p.pos < len(p.buf) && p.buf[p.pos] == 'n' {
 		if err := p.expectLiteral("null"); err != nil {
@@ -277,13 +278,18 @@ func (p *shapeParser) parseIntValue() (int, bool, error) {
 		return 0, true, nil
 	}
 	neg := p.consume('-')
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
 	start := p.pos
-	var n int64
+	var n uint64
 	for p.pos < len(p.buf) && p.buf[p.pos] >= '0' && p.buf[p.pos] <= '9' {
-		n = n*10 + int64(p.buf[p.pos]-'0')
-		if n > 1<<40 { // far beyond any processor count; avoids overflow games
+		d := uint64(p.buf[p.pos] - '0')
+		if n > (limit-d)/10 {
 			return 0, false, p.syntaxErr("number out of range for procs")
 		}
+		n = n*10 + d
 		p.pos++
 	}
 	if p.pos == start {
@@ -298,7 +304,7 @@ func (p *shapeParser) parseIntValue() (int, bool, error) {
 		}
 	}
 	if neg {
-		n = -n
+		return int(-int64(n)), false, nil
 	}
 	return int(n), false, nil
 }
@@ -312,8 +318,8 @@ func (p *shapeParser) expectLiteral(lit string) error {
 }
 
 // skipValue scans past one JSON value of any type (the value of an unknown
-// field). Strings are escape-checked; numbers and literals are scanned by
-// charset.
+// field). Strings are escape-checked and composites validated in full;
+// bare numbers and literals are scanned by charset.
 func (p *shapeParser) skipValue() error {
 	if p.pos >= len(p.buf) {
 		return errShapeEOF
@@ -347,18 +353,29 @@ func (p *shapeParser) skipValue() error {
 	}
 }
 
-// skipComposite scans past a balanced object or array, honoring strings.
+// maxNestingDepth is encoding/json's nesting limit. The body array is
+// depth 1 and a shape object depth 2, so an unknown field's composite
+// value opens at depth 3.
+const maxNestingDepth = 10000
+
+// skipComposite scans past a balanced object or array, honoring strings
+// and the nesting limit, then holds it to the full JSON grammar.
 func (p *shapeParser) skipComposite() error {
-	depth := 0
+	start, open := p.pos, 0
 	for p.pos < len(p.buf) {
 		switch p.buf[p.pos] {
 		case '{', '[':
-			depth++
+			if open++; open+2 > maxNestingDepth {
+				return p.syntaxErr("exceeded max depth")
+			}
 			p.pos++
 		case '}', ']':
-			depth--
+			open--
 			p.pos++
-			if depth == 0 {
+			if open == 0 {
+				if !json.Valid(p.buf[start:p.pos]) {
+					return p.syntaxErr("invalid composite value")
+				}
 				return nil
 			}
 		case '"':

@@ -9,7 +9,7 @@ import (
 // These tests check the self-monitoring hit-rate accounting against the
 // paper's correctness criterion (Tables 3–7): on a stationary stream, the
 // fraction of resolved predictions whose wait falls within the quoted
-// bound must converge to at least the target confidence — here measured
+// bound must converge to at least the target quantile — here measured
 // online by the Service's per-stream monitor rather than offline by the
 // evaluation harness.
 
@@ -36,8 +36,8 @@ func TestHitRateConvergesToTargetConfidence(t *testing.T) {
 	// A 0.95-quantile bound at 95% confidence is conservative: the hit
 	// rate should sit at or above ~0.95, with a small tolerance for the
 	// early low-history phase and binomial noise.
-	if lifetime < st.TargetConfidence-0.02 {
-		t.Errorf("lifetime hit rate %.4f below target %.2f", lifetime, st.TargetConfidence)
+	if lifetime < st.TargetQuantile-0.02 {
+		t.Errorf("lifetime hit rate %.4f below target %.2f", lifetime, st.TargetQuantile)
 	}
 	if lifetime > 1 {
 		t.Errorf("lifetime hit rate %.4f impossible", lifetime)
@@ -45,8 +45,8 @@ func TestHitRateConvergesToTargetConfidence(t *testing.T) {
 	if st.RollingResolved != hitRateWindow {
 		t.Errorf("rolling window %d, want %d", st.RollingResolved, hitRateWindow)
 	}
-	if st.RollingHitRate < st.TargetConfidence-0.03 {
-		t.Errorf("rolling hit rate %.4f below target %.2f", st.RollingHitRate, st.TargetConfidence)
+	if st.RollingHitRate < st.TargetQuantile-0.03 {
+		t.Errorf("rolling hit rate %.4f below target %.2f", st.RollingHitRate, st.TargetQuantile)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestHitRateRollingWindowRecovers(t *testing.T) {
 	if st.LastTrimUnix == 0 {
 		t.Error("trim time not recorded")
 	}
-	if st.RollingHitRate < st.TargetConfidence-0.03 {
-		t.Errorf("rolling hit rate %.4f has not recovered after shift (target %.2f)", st.RollingHitRate, st.TargetConfidence)
+	if st.RollingHitRate < st.TargetQuantile-0.03 {
+		t.Errorf("rolling hit rate %.4f has not recovered after shift (target %.2f)", st.RollingHitRate, st.TargetQuantile)
 	}
 }
 

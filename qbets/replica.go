@@ -13,7 +13,7 @@ import (
 // from replicated state and refuses writes: observations reach it only
 // through ApplyReplicated (shipped WAL batches) and
 // InstallReplicaSnapshot (catch-up), both driven by a repl.Follower. The
-// apply path is the WAL-recovery machinery — replayGroupLocked with
+// apply path is the WAL-recovery machinery — applyRunLocked with
 // per-stream lastSeq dedup — so a replicated record folds in exactly as
 // it would have during crash recovery on the leader, and re-delivery is
 // harmless. Because the leader ships only records at or below its

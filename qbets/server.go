@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,7 +43,7 @@ import (
 // endpoint and status code, a prediction-latency histogram, ingested
 // observation counts, and — scraped live from the Service — per-stream
 // depth, change-point trims, and the rolling hit rate of resolved
-// predictions against the target confidence (the paper's correctness
+// predictions against the target quantile (the paper's correctness
 // metric, Tables 3–7, computed online). See docs/OPERATIONS.md.
 type Server struct {
 	svc *Service
@@ -186,7 +185,7 @@ func newServer(svc *Service) *Server {
 			emit(obs.Labels("stream", st.Stream), float64(st.Observations))
 		}))
 	reg.RegisterGaugeFunc("qbets_stream_hit_rate",
-		"Rolling fraction of resolved predictions whose wait fell within the quoted bound; compare against the target confidence.",
+		"Rolling fraction of resolved predictions whose wait fell within the quoted bound; compare against the target quantile.",
 		perStream(func(st StreamStatus, emit func(string, float64)) {
 			if st.RollingResolved > 0 {
 				emit(obs.Labels("stream", st.Stream), st.RollingHitRate)
@@ -759,36 +758,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		TotalStreams: s.svc.NumStreams(),
 		Streams:      streams,
 	})
-}
-
-// SaveFile persists the server's accumulated state (all streams) to a
-// file; safe to call while serving.
-func (s *Server) SaveFile(path string) error {
-	return s.svc.SaveFile(path)
-}
-
-// LoadFile replaces the server's state from a file written by SaveFile;
-// safe to call while serving (in-flight requests finish against the old
-// stream set).
-func (s *Server) LoadFile(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return s.svc.UnmarshalBinary(blob)
-}
-
-// SaveShards persists the server's state as a sharded directory (the
-// million-stream format; see SaveShards on Service). Safe while serving.
-func (s *Server) SaveShards(dir string, shards int) error {
-	return s.svc.SaveShards(dir, shards)
-}
-
-// LoadShards replaces the server's state from a sharded directory written
-// by SaveShards; safe while serving. Streams are adopted cold and
-// rehydrate on their first write.
-func (s *Server) LoadShards(dir string) error {
-	return s.svc.LoadShards(dir)
 }
 
 func (s *Server) shapeParams(w http.ResponseWriter, r *http.Request) (queue string, procs int, ok bool) {

@@ -50,8 +50,10 @@ import (
 // Each stream also self-monitors the paper's correctness metric online:
 // every observation whose wait can be compared against the bound quoted at
 // its arrival is a resolved prediction, and the rolling fraction of hits
-// (wait <= quoted bound) is tracked against the target confidence — the
-// live analogue of the "correct %" columns of Tables 3–7.
+// (wait <= quoted bound) is tracked against the target quantile q — the
+// live analogue of the "correct %" columns of Tables 3–7. A bound that is
+// an upper confidence bound on the q quantile covers at least a fraction q
+// of waits; the confidence C governs how often that holds, not the rate.
 //
 // At registry scale (the ROADMAP's millions-of-streams regime), idle
 // streams can be evicted to a compact cold form and rehydrated on their
@@ -99,6 +101,7 @@ type Service struct {
 	// self-heals on the next successful append. The counters feed the
 	// server's /metrics.
 	wal               *wal.WAL
+	restoredSeq       atomic.Uint64 // highest lastSeq anchor of the last restored stream set
 	readonly          obs.Gauge
 	walAppends        obs.Counter
 	walAppendErrors   obs.Counter
@@ -266,7 +269,7 @@ type StreamStatus struct {
 	// RollingHitRate is the fraction of the last RollingResolved resolved
 	// predictions whose wait fell within the quoted bound; the paper's
 	// correctness metric, computed online. Compare against
-	// TargetConfidence: a healthy stream sits at or above it.
+	// TargetQuantile: a healthy stream sits at or above it.
 	RollingHitRate  float64
 	RollingResolved int
 	// LifetimeHits / LifetimeResolved are totals since stream creation.
@@ -417,11 +420,6 @@ func (s *Service) readStream(queue string, procs int) *stream {
 	return arr[s.slotOf(procs)]
 }
 
-// streamFor is the hot-path form of getOrCreate(key(queue, procs)).
-func (s *Service) streamFor(queue string, procs int) *stream {
-	return s.streamForSlot(queue, s.slotOf(procs))
-}
-
 // newStream builds a settled stream: the forecaster's lazily-computed
 // bound is materialized up front so read paths stay mutation-free, and the
 // first forecast snapshot (generation 1) is published before the stream
@@ -452,21 +450,6 @@ func (s *Service) sharedEmptyProfile() *[]Bound {
 	p := fc.Profile()
 	s.emptyProfile.CompareAndSwap(nil, &p)
 	return s.emptyProfile.Load()
-}
-
-// adoptStream wraps a restored forecaster (state.go's restore path).
-// lastSeq is the WAL sequence number the snapshot covers for this stream.
-// The restored state's forecast snapshot is installed here, before
-// replaceStreams publishes the stream — a reader that resolves the new
-// stream can never see a stale or missing snapshot. The profile is
-// computed on demand (first Profile call), not here: restoring a million
-// streams must not pay for a million profiles nobody asked for.
-func (s *Service) adoptStream(key string, fc *Forecaster, lastSeq uint64) *stream {
-	fc.Forecast() // settle the lazy refit before concurrent reads start
-	st := &stream{key: key, fc: fc, hit: obs.NewRollingRate(hitRateWindow), trimsSeen: fc.ChangePoints(), lastSeq: lastSeq}
-	st.lastTouch.Store(s.clock.Load())
-	st.publishLocked()
-	return st
 }
 
 // publishLocked derives a fresh immutable forecastSnapshot from the
@@ -532,142 +515,44 @@ func (st *stream) loadSnap() *forecastSnapshot {
 	return st.snap.Load()
 }
 
-// observe records a wait: the observation is logged and applied under the
-// stream's write lock, then — outside every lock — the commit hook gates
-// the ack under synchronous replication. A hook failure refuses the
-// observe with ErrReadOnly even though the record is durable and applied
-// locally: the client was never acked, so retry-after-heal at worst
-// re-records a real wait, while acking un-replicated data could lose it
-// in a failover. The hook runs lock-free deliberately: a commit wait can
-// ride out a concurrent catch-up snapshot, which read-locks every stream.
-func (st *stream) observe(s *Service, waitSeconds float64) error {
-	seq, err := st.observeApply(s, waitSeconds)
-	if err != nil {
-		return err
-	}
-	if s.commitHook != nil && s.wal != nil {
-		if herr := s.commitHook(seq); herr != nil {
-			return fmt.Errorf("%w: replication: %v", ErrReadOnly, herr)
-		}
-	}
-	return nil
-}
-
-// observeApply appends and applies one wait under the stream's write
-// lock: the observation goes to the service's WAL first (if one is
-// attached), then folds into the forecaster, scoring the bound the
-// arriving job would have been quoted and keeping the bound fresh.
-// Holding the write lock across append-then-apply is what keeps
-// (forecaster state, lastSeq) consistent — a snapshot taken concurrently
-// sees either both effects or neither. An evicted stream rehydrates
-// here, before the append.
-func (st *stream) observeApply(s *Service, waitSeconds float64) (uint64, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.fc == nil {
-		if err := st.rehydrateLocked(s); err != nil {
-			return 0, err
-		}
-	}
-	var seq uint64
-	if s.wal != nil {
-		var err error
-		// Records carry the WAL's coarse clock (exact to the last sync):
-		// the timestamp is forensic — recovery replays by sequence, not
-		// time — and a per-observe time syscall is the hot path's single
-		// largest avoidable cost.
-		seq, err = s.wal.Append(st.key, waitSeconds, s.wal.CoarseUnixNanos())
-		if err != nil {
-			s.walAppendErrors.Inc()
-			s.readonly.Set(1)
-			return 0, fmt.Errorf("%w: %v", ErrReadOnly, err)
-		}
-		s.walAppends.Inc()
-		// Clear the read-only latch only when it is actually set: an
-		// unconditional store would bounce the gauge's cacheline between
-		// every observing core.
-		if s.readonly.Value() != 0 {
-			s.readonly.Set(0)
-		}
-	}
-	st.applyLocked(s, waitSeconds, seq, true)
-	return seq, nil
-}
-
-// applyLocked folds a wait into the forecaster. scoreHit is false on the
-// replay path: recovered observations update predictor state exactly as
-// they did in the crashed process, but the rolling correctness monitor
-// only scores quotes this process actually made (the same rule snapshot
-// restore follows).
-func (st *stream) applyLocked(s *Service, waitSeconds float64, seq uint64, scoreHit bool) {
-	if scoreHit {
-		if bound, ok := st.fc.Forecast(); ok {
-			st.hit.Record(waitSeconds <= bound)
-		}
-	}
-	st.fc.Observe(waitSeconds)
-	st.fc.Forecast() // eager refit: read paths must never find a stale bound
-	if seq > st.lastSeq {
-		st.lastSeq = seq
-	}
-	if tr := st.fc.ChangePoints(); tr != st.trimsSeen {
-		st.trimsSeen = tr
-		st.lastTrimUnix = time.Now().Unix()
-	}
-	st.markDirtyLocked(s)
-}
-
-// applyGroupLocked folds one batch group into the forecaster under the
-// single write-lock acquisition ObserveBatch already holds. Each wait is
-// still scored against the bound quoted at its arrival — the correctness
-// monitor and the predictor's own change-point scoring are per-record by
-// definition, so final state depends only on the wait sequence, not on how
-// it was batched — but the trailing settle, lastSeq advance, and trim
-// bookkeeping run once per group instead of once per record. lastSeq is
-// the sequence number of the group's newest record (0 without a WAL).
-func (st *stream) applyGroupLocked(s *Service, chunk []ObserveRecord, idxs []int32, lastSeq uint64) {
-	for _, idx := range idxs {
-		w := chunk[idx].WaitSeconds
-		if bound, ok := st.fc.Forecast(); ok {
-			st.hit.Record(w <= bound)
-		}
-		st.fc.Observe(w)
-	}
-	st.fc.Forecast() // eager refit: read paths must never find a stale bound
-	if lastSeq > st.lastSeq {
-		st.lastSeq = lastSeq
-	}
-	if tr := st.fc.ChangePoints(); tr != st.trimsSeen {
-		st.trimsSeen = tr
-		st.lastTrimUnix = time.Now().Unix()
-	}
-	// One generation per chunk: readers see whole chunks or nothing.
-	st.markDirtyLocked(s)
-}
-
-// replayGroupLocked is applyGroupLocked's recovery-path sibling: recovered
-// records at or below the stream's snapshot anchor are skipped, quotes are
-// not scored (this process never made them), and the forecaster settles
-// once per group — which is what makes batched replay measurably faster
-// than the record-at-a-time path on a long log tail.
-func (st *stream) replayGroupLocked(s *Service, recs []replayRecord) {
+// applyRunLocked is BMBP's per-wait state transition, applied to one
+// stream's run of records in log order under the caller's write lock — by
+// live ingest, WAL recovery and replication alike. Each record folds in on
+// its own (scoring is per-record by definition, so final state depends
+// only on the wait sequence); the refit, lastSeq advance, trim bookkeeping
+// and generation bump run once per run.
+//
+// live is the callers' one difference. Live ingest scores each record
+// against the bound its job would have been quoted and never skips a
+// record it has just logged (seq is 0 without a WAL). Recovery and
+// replication skip records at or below the stream's lastSeq anchor and
+// score nothing: this process never made those quotes.
+func (st *stream) applyRunLocked(s *Service, run []replayRecord, live bool) {
 	applied := false
-	for _, r := range recs {
-		if r.seq <= st.lastSeq {
+	for _, r := range run {
+		if !live && r.seq <= st.lastSeq {
 			continue
 		}
+		if live {
+			if bound, ok := st.fc.Forecast(); ok {
+				st.hit.Record(r.wait <= bound)
+			}
+		}
 		st.fc.Observe(r.wait)
-		st.lastSeq = r.seq
+		if r.seq > st.lastSeq {
+			st.lastSeq = r.seq
+		}
 		applied = true
 	}
 	if !applied {
 		return
 	}
-	st.fc.Forecast()
+	st.fc.Forecast() // eager refit: read paths must never find a stale bound
 	if tr := st.fc.ChangePoints(); tr != st.trimsSeen {
 		st.trimsSeen = tr
 		st.lastTrimUnix = time.Now().Unix()
 	}
+	// One generation per run: readers see whole runs or nothing.
 	st.markDirtyLocked(s)
 }
 
@@ -675,8 +560,9 @@ func (st *stream) replayGroupLocked(s *Service, recs []replayRecord) {
 // worker at a time.
 const replayBatch = 4096
 
-// replayRecord is one decoded log record bound for an apply worker,
-// already resolved to its stream.
+// replayRecord is one record of a per-stream run, already resolved to its
+// stream: a decoded log record bound for a recovery or replication apply,
+// or an ingested wait with the sequence number its WAL append assigned.
 type replayRecord struct {
 	st   *stream
 	wait float64
@@ -697,7 +583,7 @@ type replayScratch struct {
 
 // apply groups batch by stream (a counting sort, so each group keeps the
 // log's order) and folds each group in one lock hold through
-// replayGroupLocked. It returns the first rehydration failure; the failed
+// applyRunLocked. It returns the first rehydration failure; the failed
 // stream's group is skipped, every other group still applies.
 func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
 	clear(sc.group)
@@ -735,7 +621,7 @@ func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
 			err = st.rehydrateLocked(s)
 		}
 		if err == nil {
-			st.replayGroupLocked(s, run)
+			st.applyRunLocked(s, run, false)
 		} else if firstErr == nil {
 			firstErr = err
 		}
@@ -769,34 +655,35 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // count is exact.
 const observeBatchChunk = 256
 
-// batchGroup is one (queue, category) run within a chunk: the indices of
-// the chunk's records that route to one stream.
+// batchGroup is one (queue, category) group within a chunk and its run
+// [start, end) in chunkScratch.runs.
 type batchGroup struct {
-	queue string
-	slot  int
-	st    *stream
-	idxs  []int32
+	queue      string
+	slot       int
+	st         *stream
+	start, end int32
 }
 
-// batchScratch is the pooled working state of one ObserveBatch call; the
-// ingest hot path reuses it so batch grouping allocates nothing in steady
-// state.
-type batchScratch struct {
+// chunkScratch is the memory observeChunk lays a chunk out in; each slice
+// holds at least a chunk, so nothing allocates or grows.
+type chunkScratch struct {
 	groups  []batchGroup
+	of      []int32        // chunk record -> its group, before the lock-order sort
+	runs    []replayRecord // the chunk as per-stream runs, chunk order within a run
 	entries []wal.Entry
 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// release returns the scratch to the pool with anything that could pin
-// request memory cleared; group index slices keep their capacity.
-func (sc *batchScratch) release() {
-	for i := range sc.groups {
-		sc.groups[i].queue, sc.groups[i].st = "", nil
-	}
-	clear(sc.entries)
-	batchScratchPool.Put(sc)
+// batchScratch backs a chunkScratch for a full chunk. ObserveBatch pools
+// them uncleared: the pool drops idle scratch at each GC, so what one
+// still references is pinned for at most two cycles.
+type batchScratch struct {
+	groups  [observeBatchChunk]batchGroup
+	of      [observeBatchChunk]int32
+	runs    [observeBatchChunk]replayRecord
+	entries [observeBatchChunk]wal.Entry
 }
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // ObserveBatch records a batch of completed waits, amortizing the write
 // path: records are grouped by stream, each chunk is appended to the WAL
@@ -825,8 +712,20 @@ func (s *Service) ObserveBatch(records []ObserveRecord) (applied int, err error)
 	if len(records) == 0 {
 		return 0, nil
 	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
+	// A one-record batch — every Observe is one — lays its chunk out on
+	// the stack rather than in a pooled scratch.
+	var one struct {
+		groups  [1]batchGroup
+		of      [1]int32
+		runs    [1]replayRecord
+		entries [1]wal.Entry
+	}
+	sc := &chunkScratch{one.groups[:], one.of[:], one.runs[:], one.entries[:]}
+	if len(records) > 1 {
+		b := batchScratchPool.Get().(*batchScratch)
+		defer batchScratchPool.Put(b)
+		sc = &chunkScratch{b.groups[:], b.of[:], b.runs[:], b.entries[:]}
+	}
 	for base := 0; base < len(records); base += observeBatchChunk {
 		end := min(base+observeBatchChunk, len(records))
 		last, cerr := s.observeChunk(records[base:end], sc)
@@ -834,10 +733,13 @@ func (s *Service) ObserveBatch(records []ObserveRecord) (applied int, err error)
 			return base, &BatchError{Index: base, Err: cerr}
 		}
 		applied = end
-		// Synchronous replication gates the ack per chunk, outside the
-		// chunk's stream locks (see stream.observe): the chunk is applied
+		// Synchronous replication gates the ack per chunk, outside every
+		// stream lock, so a commit wait can ride out a concurrent catch-up
+		// snapshot (which read-locks every stream). The chunk is applied
 		// and durable locally, so the reported count stays truthful, but
-		// the client is not acked past a failed commit wait.
+		// the client is not acked past a failed commit wait: retry after
+		// heal at worst re-records a real wait, while acking un-replicated
+		// data could lose it in a failover.
 		if s.commitHook != nil && last > 0 {
 			if herr := s.commitHook(last); herr != nil {
 				return applied, &BatchError{Index: applied, Err: fmt.Errorf("%w: replication: %v", ErrReadOnly, herr)}
@@ -851,44 +753,14 @@ func (s *Service) ObserveBatch(records []ObserveRecord) (applied int, err error)
 // last log sequence (0 when no WAL is attached). The chunk is atomic:
 // either every record is appended (one AppendBatch) and applied, or none
 // is. All affected stream write locks are held, in key order, across
-// append-then-apply — the same invariant the single-record path keeps, so
-// a concurrent snapshot's (state, lastSeq) view stays consistent and
-// compaction can never delete a segment whose records some stream has not
-// yet folded in. Evicted streams rehydrate after the locks are taken and
-// before anything is appended, so a rehydration failure applies nothing.
-func (s *Service) observeChunk(chunk []ObserveRecord, sc *batchScratch) (uint64, error) {
-	byProcs := s.byProcs.Load()
-	groups := sc.groups[:0]
-	for i := range chunk {
-		slot := cacheSlotWhole
-		if byProcs {
-			slot = int(CategoryOf(chunk[i].Procs))
-		}
-		gi := 0
-		for ; gi < len(groups); gi++ {
-			if groups[gi].slot == slot && groups[gi].queue == chunk[i].Queue {
-				groups[gi].idxs = append(groups[gi].idxs, int32(i))
-				break
-			}
-		}
-		if gi == len(groups) {
-			if len(groups) < cap(groups) {
-				groups = groups[:gi+1]
-				g := &groups[gi]
-				g.queue, g.slot, g.st, g.idxs = chunk[i].Queue, slot, nil, append(g.idxs[:0], int32(i))
-			} else {
-				groups = append(groups, batchGroup{queue: chunk[i].Queue, slot: slot, idxs: []int32{int32(i)}})
-			}
-		}
-	}
-	sc.groups = groups
-	for gi := range groups {
-		groups[gi].st = s.streamForSlot(groups[gi].queue, groups[gi].slot)
-	}
-	// Distinct (queue, slot) pairs resolve to distinct streams (the slot
-	// set is fixed for the chunk), so sorting by key gives a strict global
-	// lock order — concurrent batches cannot deadlock.
-	slices.SortFunc(groups, func(a, b batchGroup) int { return strings.Compare(a.st.key, b.st.key) })
+// append-then-apply, so a concurrent snapshot's (state, lastSeq) view
+// stays consistent and compaction can never delete a segment whose records
+// some stream has not yet folded in. Evicted streams rehydrate after the
+// locks are taken and before anything is appended, so a rehydration
+// failure applies nothing.
+func (s *Service) observeChunk(chunk []ObserveRecord, sc *chunkScratch) (uint64, error) {
+	groups := s.layoutChunk(chunk, sc)
+	runs := sc.runs[:len(chunk)]
 	for gi := range groups {
 		groups[gi].st.mu.Lock()
 	}
@@ -905,39 +777,93 @@ func (s *Service) observeChunk(chunk []ObserveRecord, sc *batchScratch) (uint64,
 		}
 	}
 	if s.wal == nil {
+		for i := range runs {
+			runs[i].seq = 0
+		}
 		for gi := range groups {
-			groups[gi].st.applyGroupLocked(s, chunk, groups[gi].idxs, 0)
+			g := &groups[gi]
+			g.st.applyRunLocked(s, runs[g.start:g.end], true)
 		}
 		return 0, nil
 	}
-	entries := sc.entries[:0]
-	if cap(entries) < len(chunk) {
-		entries = make([]wal.Entry, 0, observeBatchChunk)
-	}
-	entries = entries[:len(chunk)]
+	entries := sc.entries[:len(chunk)]
+	// Records carry the WAL's coarse clock (exact to the last sync):
+	// the timestamp is forensic — recovery replays by sequence, not
+	// time — and a per-chunk time syscall would be pure overhead.
 	now := s.wal.CoarseUnixNanos()
-	for gi := range groups {
-		g := &groups[gi]
-		for _, idx := range g.idxs {
-			entries[idx] = wal.Entry{Key: g.st.key, Wait: chunk[idx].WaitSeconds, UnixNanos: now}
+	for _, g := range groups {
+		for _, r := range runs[g.start:g.end] {
+			entries[r.seq] = wal.Entry{Key: g.st.key, Wait: r.wait, UnixNanos: now}
 		}
 	}
-	sc.entries = entries
-	firstSeq, werr := s.wal.AppendBatch(entries)
-	if werr != nil {
+	firstSeq, err := s.wal.AppendBatch(entries)
+	if err != nil {
 		s.walAppendErrors.Inc()
 		s.readonly.Set(1)
-		return 0, fmt.Errorf("%w: %v", ErrReadOnly, werr)
+		return 0, fmt.Errorf("%w: %v", ErrReadOnly, err)
 	}
 	s.walAppends.Add(uint64(len(chunk)))
+	// Clear the read-only latch only when it is actually set: an
+	// unconditional store would bounce the gauge's cacheline between
+	// every observing core.
 	if s.readonly.Value() != 0 {
 		s.readonly.Set(0)
 	}
+	for i := range runs {
+		runs[i].seq += firstSeq
+	}
 	for gi := range groups {
 		g := &groups[gi]
-		g.st.applyGroupLocked(s, chunk, g.idxs, firstSeq+uint64(g.idxs[len(g.idxs)-1]))
+		g.st.applyRunLocked(s, runs[g.start:g.end], true)
 	}
 	return firstSeq + uint64(len(chunk)) - 1, nil
+}
+
+// layoutChunk groups a chunk by stream and lays it out in sc.runs as
+// per-stream runs (a counting sort, so each run keeps chunk order). A
+// record's seq holds its chunk offset until the append assigns sequence
+// numbers; its st stays nil, as a run's stream is its group's. The groups
+// come back in key order, a strict global lock order (the slot set is
+// fixed for the chunk), so concurrent batches cannot deadlock.
+func (s *Service) layoutChunk(chunk []ObserveRecord, sc *chunkScratch) []batchGroup {
+	if len(chunk) == 1 { // already a single run: nothing to group or sort
+		sc.groups[0] = batchGroup{st: s.streamForSlot(chunk[0].Queue, s.slotOf(chunk[0].Procs)), end: 1}
+		sc.runs[0] = replayRecord{wait: chunk[0].WaitSeconds}
+		return sc.groups[:1]
+	}
+	byProcs := s.byProcs.Load()
+	groups, of := sc.groups[:0], sc.of[:len(chunk)]
+	for i := range chunk {
+		slot := cacheSlotWhole
+		if byProcs {
+			slot = int(CategoryOf(chunk[i].Procs))
+		}
+		gi := 0
+		for gi < len(groups) && (groups[gi].slot != slot || groups[gi].queue != chunk[i].Queue) {
+			gi++
+		}
+		if gi == len(groups) {
+			groups = groups[:gi+1]
+			groups[gi].queue, groups[gi].slot, groups[gi].end = chunk[i].Queue, slot, 0
+		}
+		groups[gi].end++ // the group's size until the layout below
+		of[i] = int32(gi)
+	}
+	var at int32
+	for gi := range groups {
+		g := &groups[gi]
+		g.st = s.streamForSlot(g.queue, g.slot)
+		g.start, g.end, at = at, at, at+g.end
+	}
+	for i, gi := range of {
+		g := &groups[gi]
+		sc.runs[g.end] = replayRecord{wait: chunk[i].WaitSeconds, seq: uint64(i)}
+		g.end++
+	}
+	if len(groups) > 1 {
+		slices.SortFunc(groups, func(a, b batchGroup) int { return strings.Compare(a.st.key, b.st.key) })
+	}
+	return groups
 }
 
 // status renders the stream's published snapshot as a StreamStatus,
@@ -963,19 +889,19 @@ func (st *stream) status(q, c float64) StreamStatus {
 	}
 }
 
-// Observe records a completed wait for a queue and processor count. It
-// returns ErrInvalidWait for waits that cannot be queue delays (NaN, Inf,
-// negative) and ErrReadOnly (wrapped, with the cause) when a write-ahead
-// log is attached and the append failed — in that case the observation was
-// NOT recorded, by design: refusing is recoverable, silent loss is not.
+// Observe records a completed wait for a queue and processor count: a
+// one-record ObserveBatch. It returns ErrInvalidWait for waits that cannot
+// be queue delays (NaN, Inf, negative), ErrNotLeader on a follower, and
+// ErrReadOnly (wrapped, with the cause) when a write-ahead log is attached
+// and the append failed — in that case the observation was NOT recorded,
+// by design: refusing is recoverable, silent loss is not — or when a
+// synchronous-replication commit wait failed after the record was applied.
 func (s *Service) Observe(queue string, procs int, waitSeconds float64) error {
-	if math.IsNaN(waitSeconds) || math.IsInf(waitSeconds, 0) || waitSeconds < 0 {
-		return ErrInvalidWait
+	rec := [1]ObserveRecord{{Queue: queue, Procs: procs, WaitSeconds: waitSeconds}}
+	if _, err := s.ObserveBatch(rec[:]); err != nil {
+		return err.(*BatchError).Err // ObserveBatch fails only with *BatchError
 	}
-	if s.follower.Load() {
-		return ErrNotLeader
-	}
-	return s.streamFor(queue, procs).observe(s, waitSeconds)
+	return nil
 }
 
 // Forecast returns the bound a job with the given shape would be quoted.
@@ -1137,6 +1063,7 @@ func (s *Service) StatsLimit(limit int) []StreamStatus {
 // old set, which matches wholesale-restore semantics.
 func (s *Service) replaceStreams(streams map[string]*stream) {
 	var n, cold int64
+	var seq uint64
 	var grouped [serviceShards]map[string]*stream
 	for i := range grouped {
 		grouped[i] = make(map[string]*stream)
@@ -1147,7 +1074,9 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 		if st.evicted.Load() {
 			cold++
 		}
+		seq = max(seq, st.lastSeq) // the set is not yet published: no lock needed
 	}
+	s.restoredSeq.Store(seq)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -1180,7 +1109,7 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 // so within a stream the log's order is preserved exactly, and streams
 // are independent, so recovered state matches record-at-a-time replay.
 // Each worker groups a batch by stream and folds every group in one lock
-// acquisition and one settle (replayGroupLocked). A cold-adopted stream
+// acquisition and one settle (applyRunLocked). A cold-adopted stream
 // (sharded restore) rehydrates before its first group applies; the first
 // rehydration failure is returned after every other stream has replayed.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
@@ -1232,6 +1161,11 @@ func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 			return stats, rerr
 		}
 	}
+	// A save compacts the segments its snapshot covers, possibly all of
+	// them, and a log reopened empty numbers from 1 again: new records must
+	// land above every restored anchor, or the next recovery would skip
+	// them as already covered.
+	w.AdvanceSeq(s.restoredSeq.Load())
 	s.wal = w
 	s.walReplayed.Add(uint64(stats.Records))
 	s.walReplayDropped.Add(uint64(stats.Truncations))

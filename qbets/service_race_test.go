@@ -104,24 +104,27 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		svc.Observe("normal", 2, math.Exp(rng.NormFloat64())*30)
 	}
-	blob, err := svc.MarshalBinary()
-	if err != nil {
+	seedDir := filepath.Join(t.TempDir(), "seed")
+	if err := svc.SaveShards(seedDir); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		// Each saver owns its state directory: saves to one directory are
+		// serialized by the caller (qbets-serve has a single saver).
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("save%d", g))
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				svc.Observe("normal", 2, float64(i))
 				svc.Forecast("normal", 2)
-				if _, err := svc.MarshalBinary(); err != nil {
+				if err := svc.SaveShards(dir); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	// One goroutine restores state mid-traffic: in-flight requests must
 	// finish cleanly against whichever stream set they started with.
@@ -129,7 +132,7 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := svc.UnmarshalBinary(blob); err != nil {
+			if err := svc.LoadShards(seedDir); err != nil {
 				t.Error(err)
 				return
 			}
@@ -150,10 +153,10 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 // goroutine owns its queue so every stream's observation order is
 // deterministic and the oracle is exact (history length alone would not
 // be: change-point trims shrink it). Run under -race this also exercises
-// the Rotate/Append and MarshalBinary/observe lock interplay.
+// the Rotate/AppendBatch and save/observe lock interplay.
 func TestServiceConcurrentSaveCompactWAL(t *testing.T) {
 	dir := t.TempDir()
-	statePath := filepath.Join(dir, "state.bin")
+	statePath := filepath.Join(dir, "state")
 	walDir := filepath.Join(dir, "wal")
 
 	w, err := wal.Open(walDir, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 1024})
@@ -189,7 +192,7 @@ func TestServiceConcurrentSaveCompactWAL(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 15; i++ {
-			if err := svc.SaveFile(statePath); err != nil {
+			if err := svc.SaveShards(statePath); err != nil {
 				t.Errorf("save: %v", err)
 				return
 			}
@@ -199,7 +202,7 @@ func TestServiceConcurrentSaveCompactWAL(t *testing.T) {
 	wg.Wait()
 	// A final quiescent save so the snapshot on disk plus the log tail is a
 	// complete picture regardless of where the racing saves landed.
-	if err := svc.SaveFile(statePath); err != nil {
+	if err := svc.SaveShards(statePath); err != nil {
 		t.Fatal(err)
 	}
 	d := svc.Durability()
@@ -210,7 +213,7 @@ func TestServiceConcurrentSaveCompactWAL(t *testing.T) {
 		t.Fatalf("WAL saw %d appends, want %d", d.Appends, want)
 	}
 
-	restored, err := LoadServiceFile(statePath, false, WithSeed(19))
+	restored, err := LoadServiceShards(statePath, false, WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}

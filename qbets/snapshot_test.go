@@ -152,8 +152,8 @@ func TestSnapshotCoherenceUnderRestoreChurn(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		seed.Observe("restored", 1, float64(i))
 	}
-	blob, err := seed.MarshalBinary()
-	if err != nil {
+	seedDir := t.TempDir()
+	if err := seed.SaveShards(seedDir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +170,7 @@ func TestSnapshotCoherenceUnderRestoreChurn(t *testing.T) {
 				return
 			default:
 			}
-			if err := svc.UnmarshalBinary(blob); err != nil {
+			if err := svc.LoadShards(seedDir); err != nil {
 				t.Errorf("restore %d: %v", i, err)
 				return
 			}
@@ -220,7 +220,7 @@ func TestSnapshotCoherenceUnderRestoreChurn(t *testing.T) {
 }
 
 // TestRestoreWhileServing proves no stale snapshot survives a restore: the
-// instant UnmarshalBinary returns, every read resolves against the
+// instant LoadShards returns, every read resolves against the
 // restored stream set — pre-restore streams are gone and the restored
 // stream's depth is served, even while readers hammer the whole time.
 func TestRestoreWhileServing(t *testing.T) {
@@ -230,8 +230,8 @@ func TestRestoreWhileServing(t *testing.T) {
 	}
 	wantObs := archived.Observations("shared", 1)
 	wantBound, wantOK := archived.Forecast("shared", 1)
-	blob, err := archived.MarshalBinary()
-	if err != nil {
+	archiveDir := t.TempDir()
+	if err := archived.SaveShards(archiveDir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +260,7 @@ func TestRestoreWhileServing(t *testing.T) {
 		}()
 	}
 
-	if err := svc.UnmarshalBinary(blob); err != nil {
+	if err := svc.LoadShards(archiveDir); err != nil {
 		t.Fatal(err)
 	}
 	// Immediately after return — readers still running — the restored

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrCorruptState marks state blobs that fail to decode. Callers use it to
@@ -119,73 +121,19 @@ func LoadFile(path string) (*Forecaster, error) {
 	return f, nil
 }
 
-// Service persistence: the whole per-stream forecaster family serializes
-// as one blob, so a deployment (e.g. qbets-serve) restarts with its
-// accumulated history intact.
-
-// serviceBlob is the JSON-framed container; each stream's forecaster state
-// rides inside as the binary blob the core format defines. StreamSeqs
-// records, per stream, the WAL sequence number of the newest observation
-// the snapshot includes — the anchor that lets startup recovery merge the
-// log tail exactly (older snapshots without the field replay from zero,
-// which only matters if a WAL predating the snapshot format is kept).
-type serviceBlob struct {
-	ByProcs    bool              `json:"by_procs"`
-	NextSeed   int64             `json:"next_seed"`
-	Streams    map[string][]byte `json:"streams"`
-	StreamSeqs map[string]uint64 `json:"stream_seqs,omitempty"`
-}
-
-// MarshalBinary encodes every stream's forecaster state. It is safe to
-// call while serving: each stream is read-locked only while its own
-// forecaster serializes, and the per-stream WAL sequence number is read
-// under that same lock, so each stream's (state, seq) pair is consistent
-// even mid-traffic.
-func (s *Service) MarshalBinary() ([]byte, error) {
-	streams := s.snapshotStreams()
-	blob := serviceBlob{
-		ByProcs:    s.byProcs.Load(),
-		NextSeed:   s.nextSeed.Load(),
-		Streams:    make(map[string][]byte, len(streams)),
-		StreamSeqs: make(map[string]uint64, len(streams)),
+// unmarshalLegacy restores the retired single-file state format — one
+// JSON document holding every stream's serialized forecaster plus its WAL
+// sequence anchor — replacing the current stream set wholesale. It exists
+// only so LoadShards can migrate such a file once (see migrateLegacy).
+// Streams are adopted hydrated, each with its forecast snapshot published
+// before replaceStreams makes it reachable.
+func (s *Service) unmarshalLegacy(data []byte) error {
+	var blob struct {
+		ByProcs    bool              `json:"by_procs"`
+		NextSeed   int64             `json:"next_seed"`
+		Streams    map[string][]byte `json:"streams"`
+		StreamSeqs map[string]uint64 `json:"stream_seqs"`
 	}
-	for k, st := range streams {
-		st.mu.RLock()
-		var b []byte
-		var err error
-		if st.fc != nil {
-			b, err = st.fc.MarshalBinary()
-		} else {
-			// Evicted stream: the cold blob IS the serialized forecaster,
-			// written at eviction time and immutable since.
-			b = st.cold
-		}
-		seq := st.lastSeq
-		st.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("qbets: stream %q: %w", k, err)
-		}
-		blob.Streams[k] = b
-		blob.StreamSeqs[k] = seq
-	}
-	return json.Marshal(blob)
-}
-
-// UnmarshalBinary restores a Service serialized by MarshalBinary,
-// replacing the current stream set wholesale. The receiver's options are
-// retained for streams created after the restore; restored streams carry
-// their own serialized configuration. Self-monitoring hit-rate windows
-// restart empty — the correctness metric describes the running deployment,
-// not the archived history.
-//
-// Restore is safe while serving: every restored stream has its forecast
-// snapshot computed and published (adoptStream) before replaceStreams
-// republishes the lock-free read index, so once UnmarshalBinary returns,
-// no reader can resolve a pre-restore stream or see a stale bound —
-// readers mid-flight on old stream pointers finish against the old,
-// internally consistent snapshots.
-func (s *Service) UnmarshalBinary(data []byte) error {
-	var blob serviceBlob
 	if err := json.Unmarshal(data, &blob); err != nil {
 		return fmt.Errorf("qbets: %w: %v", ErrCorruptState, err)
 	}
@@ -195,34 +143,15 @@ func (s *Service) UnmarshalBinary(data []byte) error {
 		if err := fc.UnmarshalBinary(fb); err != nil {
 			return fmt.Errorf("qbets: %w: stream %q: %v", ErrCorruptState, k, err)
 		}
-		restored[k] = s.adoptStream(k, fc, blob.StreamSeqs[k])
+		fc.Forecast() // settle the lazy refit before concurrent reads start
+		st := &stream{key: k, fc: fc, hit: obs.NewRollingRate(hitRateWindow), trimsSeen: fc.ChangePoints(), lastSeq: blob.StreamSeqs[k]}
+		st.lastTouch.Store(s.clock.Load())
+		st.publishLocked()
+		restored[k] = st
 	}
 	s.byProcs.Store(blob.ByProcs)
 	s.nextSeed.Store(blob.NextSeed)
 	s.replaceStreams(restored)
-	return nil
-}
-
-// SaveFile writes the service's state to a file. When a write-ahead log is
-// attached, a successful save also compacts it: the log is rotated before
-// the snapshot is taken, and once the snapshot is durably on disk the
-// segments it fully covers are deleted. The ordering makes the window
-// crash-safe in both directions — a crash before the snapshot lands leaves
-// every segment in place (recovery replays a little extra, skipped via the
-// per-stream sequence numbers), and segments are only deleted after the
-// snapshot that supersedes them is readable. Compaction failures are
-// counted but do not fail the save: the snapshot is good, the log is
-// merely longer than necessary.
-func (s *Service) SaveFile(path string) error {
-	cut, rotated := s.preSaveRotate()
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(path, blob); err != nil {
-		return err
-	}
-	s.postSaveCompact(cut, rotated)
 	return nil
 }
 
@@ -253,30 +182,16 @@ func (s *Service) postSaveCompact(cut uint64, rotated bool) {
 	}
 }
 
-// QuarantineStateFile moves an unreadable state file aside to
-// <path>.corrupt-<unixtime> so the process can start fresh without
-// destroying the evidence (or the chance of manual recovery). It returns
-// the quarantine path.
+// QuarantineStateFile moves unreadable state (a directory or a legacy
+// file) aside to <path>.corrupt-<unixtime> so the process can start fresh
+// without destroying the evidence (or the chance of manual recovery). It
+// returns the quarantine path.
 func QuarantineStateFile(path string) (string, error) {
 	quarantine := fmt.Sprintf("%s.corrupt-%d", path, time.Now().Unix())
 	if err := os.Rename(path, quarantine); err != nil {
 		return "", err
 	}
 	return quarantine, nil
-}
-
-// LoadServiceFile restores a Service from a state file. splitByProcs and
-// opts apply to streams created after the restore.
-func LoadServiceFile(path string, splitByProcs bool, opts ...Option) (*Service, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s := NewService(splitByProcs, opts...)
-	if err := s.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Interval is a two-sided confidence interval on a quantile of queue

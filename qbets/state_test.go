@@ -2,8 +2,10 @@ package qbets
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -76,10 +78,10 @@ func TestServiceSaveLoad(t *testing.T) {
 	wantLarge, _ := s.Forecast("normal", 32)
 
 	path := filepath.Join(t.TempDir(), "svc.state")
-	if err := s.SaveFile(path); err != nil {
+	if err := s.SaveShards(path); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadServiceFile(path, true, WithSeed(21))
+	g, err := LoadServiceShards(path, true, WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +100,16 @@ func TestServiceSaveLoad(t *testing.T) {
 	if g.Observations("normal", 2) != n+1 {
 		t.Error("restored stream not live")
 	}
-	// Garbage rejected.
-	if err := g.UnmarshalBinary([]byte("}{")); err == nil {
-		t.Error("garbage accepted")
+	// Garbage rejected, as corruption.
+	garbage := filepath.Join(t.TempDir(), "garbage")
+	if err := os.WriteFile(garbage, []byte("}{"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadServiceFile(filepath.Join(t.TempDir(), "nope"), true); err == nil {
-		t.Error("missing file accepted")
+	if err := g.LoadShards(garbage); !errors.Is(err, ErrCorruptState) {
+		t.Errorf("garbage state: err = %v, want ErrCorruptState", err)
+	}
+	if _, err := LoadServiceShards(filepath.Join(t.TempDir(), "nope"), true); !os.IsNotExist(err) {
+		t.Errorf("missing state: err = %v, want os.IsNotExist", err)
 	}
 }
 

@@ -13,17 +13,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// Sharded service persistence: the single-blob format (state.go) JSON-
-// encodes every stream into one document, which at the million-stream
-// scale means one giant allocation, one giant write, and a restore that
-// unmarshals a million forecasters before serving byte one. The sharded
-// format spreads the registry over N shard files written and read in
-// parallel, and — the real scale win — restores every stream *cold*: the
-// per-stream summary core published in the shard file becomes the
-// stream's forecast snapshot directly, the serialized forecaster blob is
-// kept as the cold blob, and no BMBP state is unmarshaled until a
-// stream's first write rehydrates it (evict.go). Loading 1M streams costs
-// 1M small struct builds, not 1M history decodes.
+// Service persistence: a deployed service accumulates months of history
+// per stream; the state directory lets it restart with that history
+// intact. The registry is spread over N shard files written and read in
+// parallel, and a restore adopts every stream *cold*: the per-stream
+// summary core published in the shard file becomes the stream's forecast
+// snapshot directly, the serialized forecaster blob is kept as the cold
+// blob, and no BMBP state is unmarshaled until a stream's first write
+// rehydrates it (evict.go). Loading 1M streams costs 1M small struct
+// builds, not 1M history decodes.
 //
 // On-disk layout (dir is a directory, not a file):
 //
@@ -36,7 +34,8 @@ import (
 // republishes CURRENT — the same crash story as writeFileAtomic, one
 // level up. Old generations are deleted best-effort after the swap;
 // QuarantineStateFile renames the whole directory, so corrupt-state
-// handling carries over unchanged.
+// handling covers it unchanged. A state path that names a regular file
+// holds the retired single-file format, which LoadShards migrates once.
 
 // shardManifest is the service-level header of one saved generation.
 type shardManifest struct {
@@ -96,16 +95,41 @@ func (st *stream) coreLocked() (blob []byte, core shardStream, err error) {
 	return blob, core, nil
 }
 
+// streamsPerShard sizes a save: one shard file per 16,384 streams (64 per
+// million), at least one, so a large registry saves and loads in parallel
+// while a small one writes a single file.
+const streamsPerShard = 16384
+
+func shardCount(streams int) int {
+	return max(1, (streams+streamsPerShard-1)/streamsPerShard)
+}
+
 // SaveShards writes the service's state as a sharded generation under dir,
-// creating dir if needed. Like SaveFile, a successful save compacts the
-// attached WAL. Safe to call while serving: streams are read-locked one at
-// a time.
-func (s *Service) SaveShards(dir string, shards int) error {
-	if shards < 1 {
-		shards = 1
-	}
+// creating dir if needed, with the shard count derived from the stream
+// count. Safe to call while serving: streams are read-locked one at a
+// time.
+//
+// When a write-ahead log is attached, a successful save also compacts it:
+// the log is rotated before the snapshot is taken, and once the new
+// generation is durably published the segments it fully covers are
+// deleted. The ordering makes the window crash-safe in both directions —
+// a crash before CURRENT moves leaves every segment in place (recovery
+// replays a little extra, skipped via the per-stream sequence numbers),
+// and segments are only deleted after the generation that supersedes them
+// is readable. Compaction failures are counted but do not fail the save:
+// the snapshot is good, the log is merely longer than necessary.
+func (s *Service) SaveShards(dir string) error {
+	return s.saveShards(dir, 0)
+}
+
+// saveShards is SaveShards with an explicit shard count; shards <= 0
+// derives it from the stream count.
+func (s *Service) saveShards(dir string, shards int) error {
 	cut, rotated := s.preSaveRotate()
 	streams := s.snapshotStreams()
+	if shards <= 0 {
+		shards = shardCount(len(streams))
+	}
 
 	// Partition by key hash, then render shards in parallel — each worker
 	// owns its shard's map wholesale, so no cross-worker coordination.
@@ -219,10 +243,9 @@ func (s *Service) adoptColdStream(key string, core shardStream) *stream {
 	return st
 }
 
-// LoadServiceShards restores a Service from a sharded state directory
-// written by SaveShards. Every stream is adopted cold; splitByProcs and
-// opts apply to streams created after the restore, as with
-// LoadServiceFile.
+// LoadServiceShards restores a Service from a state directory written by
+// SaveShards (or migrates a legacy state file; see LoadShards).
+// splitByProcs and opts apply to streams created after the restore.
 func LoadServiceShards(dir string, splitByProcs bool, opts ...Option) (*Service, error) {
 	s := NewService(splitByProcs, opts...)
 	if err := s.LoadShards(dir); err != nil {
@@ -232,10 +255,21 @@ func LoadServiceShards(dir string, splitByProcs bool, opts ...Option) (*Service,
 }
 
 // LoadShards restores sharded state into the receiver, replacing the
-// current stream set wholesale (the directory-format analogue of
-// UnmarshalBinary). Safe while serving: readers mid-flight finish against
-// the old stream set.
+// current stream set wholesale. Every stream is adopted cold. Safe while
+// serving: readers mid-flight finish against the old stream set.
+//
+// A dir that names a regular file holds the retired single-file format:
+// it is decoded, moved aside to <dir>.legacy-<unixtime>, and its state is
+// written back as a sharded generation at dir — a one-time migration.
+// Errors keep their meaning across both formats: os.IsNotExist means no
+// state yet, ErrCorruptState means the state is unreadable (quarantine
+// it), anything else is an I/O failure.
 func (s *Service) LoadShards(dir string) error {
+	if fi, err := os.Stat(dir); err != nil {
+		return err
+	} else if fi.Mode().IsRegular() {
+		return s.migrateLegacy(dir)
+	}
 	cur, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
 		return err
@@ -293,14 +327,27 @@ func (s *Service) LoadShards(dir string) error {
 	return nil
 }
 
-// IsShardedStateDir reports whether path looks like a sharded state
-// directory (has a CURRENT file) — the loader-selection hook for callers
-// that accept either format.
-func IsShardedStateDir(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
+// migrateLegacy converts a single-file state at path into a sharded
+// directory at the same path. The file is decoded first, so a corrupt one
+// is left in place for the caller to quarantine. If writing the directory
+// fails, the file is moved back: the migration either completes or leaves
+// the legacy state where it was.
+func (s *Service) migrateLegacy(path string) error {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
-	_, err = os.Stat(filepath.Join(path, currentFile))
-	return err == nil
+	if err := s.unmarshalLegacy(blob); err != nil {
+		return err
+	}
+	legacy := fmt.Sprintf("%s.legacy-%d", path, time.Now().Unix())
+	if err := os.Rename(path, legacy); err != nil {
+		return err
+	}
+	if err := s.SaveShards(path); err != nil {
+		os.RemoveAll(path)
+		return errors.Join(err, os.Rename(legacy, path))
+	}
+	// Make the rename and the new directory's entry durable together.
+	return syncDir(filepath.Dir(path))
 }

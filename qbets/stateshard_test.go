@@ -37,11 +37,11 @@ func TestSaveLoadShardsRoundTrip(t *testing.T) {
 	// Evict a subset so the save sees both hydrated and cold streams.
 	svc.EvictToCap(queues / 2)
 
-	if err := svc.SaveShards(dir, 4); err != nil {
+	if err := svc.saveShards(dir, 4); err != nil {
 		t.Fatal(err)
 	}
-	if !IsShardedStateDir(dir) {
-		t.Fatal("IsShardedStateDir = false on a freshly saved directory")
+	if _, err := os.Stat(filepath.Join(dir, currentFile)); err != nil {
+		t.Fatalf("no CURRENT in a freshly saved directory: %v", err)
 	}
 
 	restored, err := LoadServiceShards(dir, false, WithSeed(13))
@@ -104,11 +104,12 @@ func TestSaveLoadShardsRoundTrip(t *testing.T) {
 func TestSaveShardsRotates(t *testing.T) {
 	dir := t.TempDir()
 	svc := buildShardTestService(t, 3)
-	if err := svc.SaveShards(dir, 2); err != nil {
+	if err := svc.saveShards(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	svc.Observe("shq000", 1, 1)
-	if err := svc.SaveShards(dir, 2); err != nil {
+	// The second save derives its shard count: three streams fit one.
+	if err := svc.SaveShards(dir); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -145,7 +146,7 @@ func TestLoadShardsCorruption(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			svc := buildShardTestService(t, 4)
-			if err := svc.SaveShards(dir, 2); err != nil {
+			if err := svc.saveShards(dir, 2); err != nil {
 				t.Fatal(err)
 			}
 			mutate(dir)
