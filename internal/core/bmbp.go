@@ -86,7 +86,7 @@ type BMBP struct {
 // New returns a BMBP predictor with the given configuration.
 func New(cfg Config) *BMBP {
 	cfg = cfg.withDefaults()
-	idx := NewIncrementalIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
+	idx := sharedIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
 	return &BMBP{
 		cfg:        cfg,
 		minHistory: idx.MinHistory(),

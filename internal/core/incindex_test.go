@@ -1,13 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-// TestIncrementalIndexDifferential drives an IncrementalIndex one
-// observation at a time and asserts it returns exactly what the from-scratch
+// freshIndex returns an index over a private, empty table, so a test
+// drives the table's extension itself whatever earlier tests left in the
+// process-wide one.
+func freshIndex(q, c float64, mode BoundMode) *IncrementalIndex {
+	return newIndex(newBoundTable(q, c), mode)
+}
+
+// tableEnd returns the first n tab does not hold.
+func tableEnd(tab *boundTable) int { return tab.minN + len(*tab.ks.Load()) }
+
+// TestIncrementalIndexDifferential grows an index's table one observation
+// at a time and asserts it returns exactly what the from-scratch
 // computation returns for every n up to 200k, across a grid of (q, C) and
 // both bound modes BMBP uses. This is the proof that the O(1) stepping rule
 // (k grows by 0 or 1 per observation, decided by one CDF evaluation) agrees
@@ -25,8 +37,8 @@ func TestIncrementalIndexDifferential(t *testing.T) {
 		g := g
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			exact := NewIncrementalIndex(g.q, g.c, ModeExact)
-			auto := NewIncrementalIndex(g.q, g.c, ModeAuto)
+			exact := freshIndex(g.q, g.c, ModeExact)
+			auto := freshIndex(g.q, g.c, ModeAuto)
 			minN := MinSampleSize(g.q, g.c)
 			// In the normal-approximation region ModeAuto is a closed form
 			// on both sides, so spot-checking it sparsely is enough; the
@@ -63,10 +75,12 @@ func TestIncrementalIndexDifferential(t *testing.T) {
 
 // TestIncrementalIndexRandomWalk exercises the non-sequential paths: trims
 // (n drops), windows (n constant), and jumps, interleaved with +1 steps.
+// Each mode starts from an empty table, so jumps land past its end and
+// exercise both extension and the direct fallback.
 func TestIncrementalIndexRandomWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, mode := range []BoundMode{ModeExact, ModeAuto, ModeApprox} {
-		x := NewIncrementalIndex(0.95, 0.95, mode)
+		x := freshIndex(0.95, 0.95, mode)
 		n := 0
 		for step := 0; step < 4000; step++ {
 			switch rng.Intn(10) {
@@ -84,6 +98,101 @@ func TestIncrementalIndexRandomWalk(t *testing.T) {
 			if k != kw || ok != okw {
 				t.Fatalf("mode=%v n=%d: incremental k=%d ok=%v, want k=%d ok=%v", mode, n, k, ok, kw, okw)
 			}
+		}
+	}
+}
+
+// TestSharedIndexConcurrent has many goroutines build predictors for a
+// (q, C) pair no other test uses and query their index on rising and
+// jumping n while the shared table extends under them. Every answer must
+// equal UpperBoundIndex, and every predictor of one (q, C, mode) — built
+// by New or decoded by UnmarshalBinary — must hold the same index.
+func TestSharedIndexConcurrent(t *testing.T) {
+	const q, c = 0.93, 0.97
+	modes := []BoundMode{ModeAuto, ModeExact, ModeApprox}
+	want := func(mode BoundMode) *IncrementalIndex { return sharedIndex(q, c, mode) }
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			mode := modes[g%len(modes)]
+			b := New(Config{Quantile: q, Confidence: c, Mode: mode})
+			if g%2 == 1 {
+				// Half the predictors come from the codec instead.
+				blob, err := b.MarshalBinary()
+				if err == nil {
+					b = new(BMBP)
+					err = b.UnmarshalBinary(blob)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			if b.idx != want(mode) {
+				errs <- fmt.Errorf("mode %v: predictor holds its own index", mode)
+				return
+			}
+			n := b.idx.MinHistory() - 1
+			for step := 0; step < 4000; step++ {
+				switch rng.Intn(20) {
+				case 0:
+					n = rng.Intn(6000) // jump, possibly far past the table's end
+				case 1:
+					n = b.idx.MinHistory() // trim
+				default:
+					n++
+				}
+				k, ok := b.idx.Index(n)
+				kw, okw := UpperBoundIndex(n, q, c, mode)
+				if k != kw || ok != okw {
+					errs <- fmt.Errorf("mode %v n=%d: shared index k=%d ok=%v, want k=%d ok=%v", mode, n, k, ok, kw, okw)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedIndexAutoStopsAtSwitchPoint pins the table's size under
+// ModeAuto and ModeApprox: they extend it only below the switch point to
+// the closed form, however far past it they query.
+func TestSharedIndexAutoStopsAtSwitchPoint(t *testing.T) {
+	for _, mode := range []BoundMode{ModeAuto, ModeApprox} {
+		x := freshIndex(0.95, 0.95, mode)
+		for n := 0; n <= 50_000; n++ {
+			x.Index(n)
+		}
+		// ModeAuto reaches the table for every n below the switch point;
+		// ModeApprox only where the closed form overshoots n.
+		if end := tableEnd(x.tab); end > 200 || (mode == ModeAuto && end != 200) {
+			t.Fatalf("mode %v: table ends at n=%d, switch point 200", mode, end)
+		}
+	}
+}
+
+// TestIndexLookupAllocs pins the table lookup at zero allocations: the
+// exact region is where every restarting stream's refits land.
+func TestIndexLookupAllocs(t *testing.T) {
+	for _, mode := range []BoundMode{ModeAuto, ModeExact} {
+		x := freshIndex(0.95, 0.95, mode)
+		n := x.MinHistory()
+		allocs := testing.AllocsPerRun(1000, func() {
+			if n++; n == 200 {
+				n = x.MinHistory()
+			}
+			x.Index(n)
+		})
+		if allocs != 0 {
+			t.Fatalf("mode %v: Index allocates %g times per call, want 0", mode, allocs)
 		}
 	}
 }
@@ -153,10 +262,10 @@ func TestHistoryWindowCompaction(t *testing.T) {
 }
 
 func BenchmarkIncrementalIndex(b *testing.B) {
-	// Exact-region stepping: one CDF evaluation at most per observation,
-	// versus a fresh MinSampleSize + O(log n) CDF binary search.
+	// Growing an empty table one n at a time, one CDF evaluation per
+	// entry, versus a fresh MinSampleSize + O(log n) CDF binary search.
 	b.Run("incremental", func(b *testing.B) {
-		x := NewIncrementalIndex(0.95, 0.95, ModeExact)
+		x := freshIndex(0.95, 0.95, ModeExact)
 		n := x.MinHistory()
 		x.Index(n)
 		b.ReportAllocs()
@@ -175,9 +284,19 @@ func BenchmarkIncrementalIndex(b *testing.B) {
 			UpperBoundIndex(n, 0.95, 0.95, ModeExact)
 		}
 	})
+	// ModeAuto in the exact region once the table holds it: what every
+	// restarting stream below n = 200 pays per refit at q = C = 0.95.
+	b.Run("exactRegion", func(b *testing.B) {
+		x := sharedIndex(0.95, 0.95, ModeAuto)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x.Index(59 + i%141)
+		}
+	})
 	// ModeAuto at production history lengths: closed form + memoized z.
 	b.Run("auto100k", func(b *testing.B) {
-		x := NewIncrementalIndex(0.95, 0.95, ModeAuto)
+		x := sharedIndex(0.95, 0.95, ModeAuto)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -218,7 +218,7 @@ func (b *BMBP) UnmarshalBinary(data []byte) error {
 	// Rebuild derived structures. The order statistics come back via an
 	// O(n) bulk build from a sorted copy rather than n re-inserts.
 	b.cfg = cfg
-	b.idx = NewIncrementalIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
+	b.idx = sharedIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
 	b.minHistory = b.idx.MinHistory()
 	b.hist = hist
 	b.histStart = 0

@@ -124,7 +124,7 @@ func refUnmarshalBinary(b *BMBP, data []byte) error {
 	}
 
 	b.cfg = cfg
-	b.idx = NewIncrementalIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
+	b.idx = sharedIndex(cfg.Quantile, cfg.Confidence, cfg.Mode)
 	b.minHistory = b.idx.MinHistory()
 	b.hist = hist
 	b.histStart = 0

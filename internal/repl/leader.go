@@ -381,15 +381,15 @@ func (l *Leader) AckSeq() uint64 {
 func (l *Leader) Followers() int64 { return l.followers.Load() }
 
 // Cumulative counters and gauges for the metrics plane.
-func (l *Leader) BatchesSent() uint64       { return l.batches.Load() }
-func (l *Leader) RecordsShipped() uint64    { return l.records.Load() }
-func (l *Leader) SnapshotsSent() uint64     { return l.snapshots.Load() }
-func (l *Leader) HeartbeatsSent() uint64    { return l.heartbeats.Load() }
-func (l *Leader) Fences() uint64            { return l.fences.Load() }
-func (l *Leader) ShipBytes() uint64         { return l.shipBytes.Load() }
-func (l *Leader) BatchCacheHits() uint64    { return l.cache.Hits() }
-func (l *Leader) BatchCacheMisses() uint64  { return l.cache.Misses() }
-func (l *Leader) SnapChunksSent() uint64    { return l.snapChunks.Load() }
+func (l *Leader) BatchesSent() uint64           { return l.batches.Load() }
+func (l *Leader) RecordsShipped() uint64        { return l.records.Load() }
+func (l *Leader) SnapshotsSent() uint64         { return l.snapshots.Load() }
+func (l *Leader) HeartbeatsSent() uint64        { return l.heartbeats.Load() }
+func (l *Leader) Fences() uint64                { return l.fences.Load() }
+func (l *Leader) ShipBytes() uint64             { return l.shipBytes.Load() }
+func (l *Leader) BatchCacheHits() uint64        { return l.cache.Hits() }
+func (l *Leader) BatchCacheMisses() uint64      { return l.cache.Misses() }
+func (l *Leader) SnapChunksSent() uint64        { return l.snapChunks.Load() }
 func (l *Leader) SnapGenerationsShared() uint64 { return l.snapShared.Load() }
 
 // InflightMessages and InflightBytes report the summed in-flight window
@@ -420,11 +420,11 @@ type session struct {
 	joined bool
 
 	// mu guards the in-flight window.
-	mu          sync.Mutex
-	pending     []pendingSend
+	mu           sync.Mutex
+	pending      []pendingSend
 	pendingBytes int
-	ackHigh     uint64 // highest msgAck seen
-	snapAckHigh int    // highest snapAck chunk index + 1 in this transfer
+	ackHigh      uint64 // highest msgAck seen
+	snapAckHigh  int    // highest snapAck chunk index + 1 in this transfer
 }
 
 // pendingSend is one unacknowledged message in the window: a batch

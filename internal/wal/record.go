@@ -76,10 +76,15 @@ func appendRecord(buf []byte, r Record) []byte {
 // write, and errCorrupt for a frame that is structurally invalid or fails
 // its checksum. consumed reports how many bytes of br the call used, so
 // replay can account for a bad frame's own bytes when reporting what it
-// dropped. scratch is reused across calls to avoid per-record allocation.
+// dropped. scratch is reused across calls to avoid per-record allocation:
+// it takes the frame header, then the payload, so the only allocation a
+// record costs is its key string.
 func readRecord(br *bufio.Reader, scratch []byte) (r Record, _ []byte, consumed int64, err error) {
-	var hdr [frameHeaderLen]byte
-	n, err := io.ReadFull(br, hdr[:])
+	if cap(scratch) < frameHeaderLen {
+		scratch = make([]byte, frameHeaderLen, 256)
+	}
+	hdr := scratch[:frameHeaderLen]
+	n, err := io.ReadFull(br, hdr)
 	consumed = int64(n)
 	if err != nil {
 		if err == io.EOF { // clean boundary: no bytes of a next frame exist

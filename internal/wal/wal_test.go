@@ -431,3 +431,47 @@ func TestAppendBeforeReplayRejected(t *testing.T) {
 func appendOne(w *WAL, key string, wait float64, unixNanos int64) (uint64, error) {
 	return w.AppendBatch([]Entry{{Key: key, Wait: wait, UnixNanos: unixNanos}})
 }
+
+// TestReplayAllocsPerRecord pins replay's allocation budget: decoding a
+// record costs one allocation, its key string. The frame header and the
+// payload go through the scratch buffer replay reuses, so replaying N
+// records allocates at most N plus a constant for opening the log.
+func TestReplayAllocsPerRecord(t *testing.T) {
+	const records = 2000
+	fs := NewMemFS()
+	w, err := Open("wal", Options{FS: fs, Mode: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]Entry, records)
+	for i := range entries {
+		entries[i] = Entry{Key: "queue/1-4", Wait: float64(i), UnixNanos: 1}
+	}
+	if _, err := w.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		w, err := Open("wal", Options{FS: fs, Mode: SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = 0
+		if _, err := w.Replay(func(Record) { seen++ }); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	})
+	if seen != records {
+		t.Fatalf("replayed %d records, want %d", seen, records)
+	}
+	if budget := float64(records + 64); allocs > budget {
+		t.Fatalf("replaying %d records allocates %g times, want at most %g (one key string each)", records, allocs, budget)
+	}
+}

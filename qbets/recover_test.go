@@ -187,11 +187,14 @@ func TestRecoverWALMatchesRecordAtATimeOracle(t *testing.T) {
 		name string
 		// base builds the pre-recovery state; called once per recovery.
 		base func(t *testing.T) *Service
+		// log replaces the shared log when set.
+		log []wal.Record
 		// tear damages the written log.
 		tear    func(fs *wal.MemFS)
 		wantErr bool
 	}{
 		{name: "interleaved", base: func(*testing.T) *Service { return NewService(true) }},
+		{name: "batch-crossing", base: func(*testing.T) *Service { return NewService(true) }, log: hotLog(3, 3*replayBatch+replayBatch/2, 5)},
 		{name: "snapshot-prefix", base: func(t *testing.T) *Service {
 			s := NewService(true)
 			if err := s.unmarshalLegacy(snapBlob); err != nil {
@@ -229,8 +232,12 @@ func TestRecoverWALMatchesRecordAtATimeOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			log := recs
+			if tc.log != nil {
+				log = tc.log
+			}
 			fs := wal.NewMemFS()
-			writeLog(t, fs, recs, 128<<10)
+			writeLog(t, fs, log, 128<<10)
 			if tc.tear != nil {
 				tc.tear(fs)
 			}
@@ -263,6 +270,9 @@ func TestRecoverWALMatchesRecordAtATimeOracle(t *testing.T) {
 
 			for _, procs := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+					if tc.log != nil && procs <= 2 {
+						checkBatchCrossing(t, log, procs, trimSeqs(log))
+					}
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					s := tc.base(t)
 					stats, err := s.RecoverWAL(open())
@@ -285,6 +295,79 @@ func TestRecoverWALMatchesRecordAtATimeOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hotLog returns n records over streams hot keys, seqs 1..n, interleaved
+// at random so each stream's records spread over every worker batch. The
+// wait scale switches between two regimes every 1,500 records, so every
+// stream trims again and again.
+func hotLog(streams, n int, seed int64) []wal.Record {
+	keys := recoverBenchKeys(streams)
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]wal.Record, n)
+	for i := range recs {
+		scale := 100.0
+		if i/1500%2 == 1 {
+			scale = 20000
+		}
+		recs[i] = wal.Record{Seq: uint64(i + 1), Key: keys[rng.Intn(streams)], Wait: rng.ExpFloat64() * scale, UnixNanos: 1}
+	}
+	return recs
+}
+
+// trimSeqs replays recs record at a time into a fresh service and returns
+// the sequence numbers whose record made its stream trim.
+func trimSeqs(recs []wal.Record) map[uint64]bool {
+	s := NewService(true)
+	out := make(map[uint64]bool)
+	for _, r := range recs {
+		st := s.getOrCreate(r.Key)
+		st.mu.Lock()
+		before := st.fc.ChangePoints()
+		st.applyRunLocked(s, []replayRecord{{st: st, wait: r.Wait, seq: r.Seq}}, false)
+		if st.fc.ChangePoints() != before {
+			out[r.Seq] = true
+		}
+		st.mu.Unlock()
+	}
+	return out
+}
+
+// checkBatchCrossing asserts what the batch-crossing case is for, laying
+// recs out the way RecoverWAL's decoder does on procs workers: some
+// stream's records straddle a worker-batch boundary, and some trim fires
+// inside a run with records after it in the same run.
+func checkBatchCrossing(t *testing.T, recs []wal.Record, procs int, trims map[uint64]bool) {
+	t.Helper()
+	type runKey struct {
+		key           string
+		worker, batch int
+	}
+	filled := make([]int, procs)
+	runs := make(map[runKey][]uint64)
+	for _, r := range recs {
+		p := int(keyHash(r.Key) % uint32(procs))
+		rk := runKey{r.Key, p, filled[p] / replayBatch}
+		filled[p]++
+		runs[rk] = append(runs[rk], r.Seq)
+	}
+	runsOf := make(map[string]int)
+	straddles := false
+	for rk := range runs {
+		runsOf[rk.key]++
+		straddles = straddles || runsOf[rk.key] > 1
+	}
+	if !straddles {
+		t.Fatalf("procs %d: no stream's records straddle a worker batch", procs)
+	}
+	for _, seqs := range runs {
+		for _, seq := range seqs[:len(seqs)-1] {
+			if trims[seq] {
+				return
+			}
+		}
+	}
+	t.Fatalf("procs %d: no trim inside a multi-record run (%d trims)", procs, len(trims))
 }
 
 // TestPromoteRecoverCoherentUnderReads races lock-free readers against

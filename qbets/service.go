@@ -557,8 +557,15 @@ func (st *stream) applyRunLocked(s *Service, run []replayRecord, live bool) {
 }
 
 // replayBatch is how many decoded records RecoverWAL hands one apply
-// worker at a time.
-const replayBatch = 4096
+// worker at a time. A batch is grouped into per-stream runs, and each run
+// pays one lock hold, one settle and one publication, so the batch must be
+// large enough that a busy log's streams form runs of several records: a
+// log interleaving 10,000 streams round-robin gives runs of 1.6 records
+// on one worker and 3.3 on two. It is not larger because a worker starts
+// only once the decoder has filled its first batch (docs/PERFORMANCE.md
+// has the sweep this size came from). A batch is garbage once its worker
+// has applied it, so the size leaves the settled heap unchanged.
+const replayBatch = 16384
 
 // replayRecord is one record of a per-stream run, already resolved to its
 // stream: a decoded log record bound for a recovery or replication apply,
@@ -1108,10 +1115,13 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 // apply worker its key hashes to. A stream belongs to exactly one worker,
 // so within a stream the log's order is preserved exactly, and streams
 // are independent, so recovered state matches record-at-a-time replay.
-// Each worker groups a batch by stream and folds every group in one lock
-// acquisition and one settle (applyRunLocked). A cold-adopted stream
-// (sharded restore) rehydrates before its first group applies; the first
-// rehydration failure is returned after every other stream has replayed.
+// Each worker groups a batch of replayBatch records by stream and folds
+// every group as one run: one lock acquisition, one settle and one
+// publication (applyRunLocked). A stream's records may straddle batches;
+// each batch's share is its own run, still in log order. A cold-adopted
+// stream (sharded restore) rehydrates before its first group applies;
+// the first rehydration failure is returned after every other stream has
+// replayed.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 	workers := runtime.GOMAXPROCS(0)
 	queues := make([]chan []replayRecord, workers)
