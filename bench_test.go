@@ -159,9 +159,11 @@ func BenchmarkFigure2ProcSplit(b *testing.B) {
 
 // BenchmarkPredictionLatency measures the paper's Section 5 timing claim
 // (8 ms per prediction on a 1 GHz Pentium III): one observation plus a
-// refit plus a bound query against a 100k-observation history.
+// refit plus a bound query against a 100k-observation history. MaxHistory
+// holds the history at 100k, so every run measures the same n however
+// many iterations the harness picks.
 func BenchmarkPredictionLatency(b *testing.B) {
-	p := core.New(core.Config{Seed: 1})
+	p := core.New(core.Config{Seed: 1, MaxHistory: 100_000})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100_000; i++ {
 		p.Observe(math.Exp(2*rng.NormFloat64()), false)

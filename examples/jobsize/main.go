@@ -4,39 +4,50 @@
 // qbets.Service split by category over a workload whose priorities flip
 // mid-stream (the surprise the paper's Figure 2 documents) and shows the
 // forecasts tracking the flip.
+//
+// The same separation can be learned instead of configured, clustering
+// job shapes rather than guessing processor ranges; `qbets-eval -autocat
+// datastar/normal` compares fixed and learned categories on a paper queue.
 package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 
 	"repro/qbets"
 )
 
 func main() {
+	run(os.Stdout)
+}
+
+func run(out io.Writer) {
 	svc := qbets.NewService(true /* split by processor category */)
 	rng := rand.New(rand.NewSource(3))
+	procCounts := []int{2, 8, 32, 128}
 
 	// Phase 1: conventional policy — larger requests wait longer.
 	offsets := map[int]float64{2: 0, 8: 0.5, 32: 1.2, 128: 1.8}
 	feed := func(jobs int) {
 		for i := 0; i < jobs; i++ {
-			for procs, off := range offsets {
-				wait := math.Round(math.Exp(math.Log(600) + off + rng.NormFloat64()))
+			for _, procs := range procCounts {
+				wait := math.Round(math.Exp(math.Log(600) + offsets[procs] + rng.NormFloat64()))
 				svc.Observe("normal", procs, wait)
 			}
 		}
 	}
 	report := func(phase string) {
-		fmt.Printf("%s:\n", phase)
-		for _, procs := range []int{2, 8, 32, 128} {
+		fmt.Fprintf(out, "%s:\n", phase)
+		for _, procs := range procCounts {
 			bound, ok := svc.Forecast("normal", procs)
 			if !ok {
-				fmt.Printf("  %4d procs (%5s): insufficient history\n", procs, qbets.CategoryOf(procs).Label())
+				fmt.Fprintf(out, "  %4d procs (%5s): insufficient history\n", procs, qbets.CategoryOf(procs).Label())
 				continue
 			}
-			fmt.Printf("  %4d procs (%5s): 95%%-confidence worst case %8.0f s\n",
+			fmt.Fprintf(out, "  %4d procs (%5s): 95%%-confidence worst case %8.0f s\n",
 				procs, qbets.CategoryOf(procs).Label(), bound)
 		}
 	}
@@ -55,24 +66,5 @@ func main() {
 	// directly, just as the paper's Figure 2 user would have.
 	small, _ := svc.Forecast("normal", 2)
 	large, _ := svc.Forecast("normal", 32)
-	fmt.Printf("\nsubmitting wide is now predicted ~%.1fx faster in the worst case\n", small/large)
-
-	// The same separation can be learned instead of configured: an
-	// AutoService clusters job shapes itself (the QBETS follow-up's
-	// approach) — no one has to guess the right processor ranges.
-	auto := qbets.NewAutoService(3, 600)
-	rng2 := rand.New(rand.NewSource(9))
-	for i := 0; i < 4000; i++ {
-		for procs, off := range offsets {
-			wait := math.Round(math.Exp(math.Log(600) + off + rng2.NormFloat64()))
-			auto.Observe(procs, 0, wait)
-		}
-	}
-	fmt.Printf("\nlearned categories (%d clusters found):\n", auto.Categories())
-	for _, procs := range []int{2, 8, 32, 128} {
-		if bound, ok := auto.Forecast(procs, 0); ok {
-			fmt.Printf("  %4d procs -> cluster %d, worst case %8.0f s\n",
-				procs, auto.CategoryOfJob(procs, 0), bound)
-		}
-	}
+	fmt.Fprintf(out, "\nsubmitting wide is now predicted ~%.1fx faster in the worst case\n", small/large)
 }

@@ -3,7 +3,8 @@
 // four ranges TACC's administrators suggested (Section 6.2); the authors'
 // follow-up system (QBETS) instead learns job categories from the
 // workload. This package provides that machinery: cluster the observed job
-// shapes, then give each cluster its own predictor (see qbets.AutoService).
+// shapes, then give each cluster its own predictor (see the learned
+// strategy of the autocat experiment, internal/experiments/autocat.go).
 package cluster
 
 import (

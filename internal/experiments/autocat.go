@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/trace"
 	"repro/qbets"
 )
@@ -12,9 +14,9 @@ import (
 // the authors' follow-up system learned categories from the workload
 // instead. This experiment replays one queue three ways and compares:
 //
-//   - merged: a single predictor for the whole queue (Section 6.1 shape)
-//   - fixed:  one predictor per fixed processor-count bucket (Section 6.2)
-//   - auto:   qbets.AutoService with learned categories
+//   - merged:  a single predictor for the whole queue (Section 6.1 shape)
+//   - fixed:   one predictor per fixed processor-count bucket (Section 6.2)
+//   - learned: one predictor per category learned from the first waits
 //
 // The replay honors the visibility rule (a wait is observable only at job
 // start) with per-job scoring after a 10% training prefix, mirroring the
@@ -72,22 +74,82 @@ func AutoCategoriesOn(cfg Config, t *trace.Trace) []AutoCatResult {
 			cats:     func() int { return len(s.Queues()) },
 		}
 	}
-	mkAuto := func() strategy {
-		a := qbets.NewAutoService(4, 500, qbets.WithSeed(cfg.Seed))
+	mkLearned := func() strategy {
+		l := &learner{seed: cfg.Seed}
 		return strategy{
 			name:     "learned",
-			observe:  func(procs int, w float64) { a.Observe(procs, 0, w) },
-			forecast: func(procs int) (float64, bool) { return a.Forecast(procs, 0) },
-			cats:     func() int { return a.Categories() },
+			observe:  l.observe,
+			forecast: l.forecast,
+			cats:     func() int { return len(l.fc) },
 		}
 	}
 
 	var out []AutoCatResult
-	for _, mk := range []func() strategy{mkMerged, mkFixed, mkAuto} {
+	for _, mk := range []func() strategy{mkMerged, mkFixed, mkLearned} {
 		s := mk()
 		out = append(out, replayStrategy(t, s.name, s.observe, s.forecast, s.cats))
 	}
 	return out
+}
+
+// learner learns job categories from the workload instead of using the
+// paper's fixed processor-count ranges. It buffers the first learnWarmup
+// waits with their job shapes (log₂ processor count), clusters the shapes
+// into at most learnK categories with k-means, gives each category its
+// own forecaster, and replays the buffered waits into them so no history
+// is lost. Every later job routes to its nearest category. It quotes
+// nothing during warm-up, and one goroutine drives it.
+type learner struct {
+	seed int64
+
+	// Warm-up buffer.
+	shapes [][]float64
+	waits  []float64
+
+	// Learned state; fc is nil until the warm-up completes.
+	clusters   cluster.Result
+	means, sds []float64
+	fc         []*qbets.Forecaster
+}
+
+const learnK, learnWarmup = 4, 500
+
+func jobShape(procs int) []float64 {
+	return []float64{math.Log2(math.Max(float64(procs), 1))}
+}
+
+func (l *learner) observe(procs int, wait float64) {
+	if l.fc != nil {
+		l.fc[l.route(procs)].Observe(wait)
+		return
+	}
+	l.shapes = append(l.shapes, jobShape(procs))
+	l.waits = append(l.waits, wait)
+	if len(l.waits) < learnWarmup {
+		return
+	}
+	var scaled [][]float64
+	scaled, l.means, l.sds = cluster.Standardize(l.shapes)
+	l.clusters = cluster.KMeans(scaled, learnK, l.seed, 200)
+	l.fc = make([]*qbets.Forecaster, len(l.clusters.Centers))
+	for i := range l.fc {
+		l.fc[i] = qbets.New(qbets.WithSeed(l.seed))
+	}
+	for i, w := range l.waits {
+		l.fc[l.clusters.Assign[i]].Observe(w)
+	}
+	l.shapes, l.waits = nil, nil
+}
+
+func (l *learner) route(procs int) int {
+	return l.clusters.Nearest(cluster.Apply(jobShape(procs), l.means, l.sds))
+}
+
+func (l *learner) forecast(procs int) (float64, bool) {
+	if l.fc == nil {
+		return 0, false
+	}
+	return l.fc[l.route(procs)].Forecast()
 }
 
 func replayStrategy(t *trace.Trace, name string,

@@ -1,10 +1,27 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/scheduler"
 )
+
+// pinned is one strategy's exact replay outcome: the replay is
+// deterministic in the seed, so any routing or predictor change shows up
+// as a different count.
+type pinned struct{ scored, correct, categories int }
+
+func checkPinned(t *testing.T, byName map[string]AutoCatResult, want map[string]pinned) {
+	t.Helper()
+	for name, w := range want {
+		r := byName[name]
+		if got := (pinned{r.Scored, r.Correct, r.Categories}); got != w {
+			t.Errorf("%s: scored/correct/categories = %v, want %v", name, got, w)
+		}
+	}
+}
 
 func checkStrategies(t *testing.T, results []AutoCatResult, floor float64) map[string]AutoCatResult {
 	t.Helper()
@@ -40,7 +57,12 @@ func TestAutoCategoriesOnSyntheticQueue(t *testing.T) {
 	// episodes (bucket-independent) dominate the upper tail, so splitting
 	// is roughly a wash here — the interesting assertion is that it does
 	// not cost correctness.
-	checkStrategies(t, AutoCategories(Config{}, "datastar", "normal"), 0.94)
+	byName := checkStrategies(t, AutoCategories(Config{}, "datastar", "normal"), 0.94)
+	checkPinned(t, byName, map[string]pinned{
+		"merged":        {43689, 42285, 1},
+		"fixed-buckets": {43672, 42305, 4},
+		"learned":       {43689, 42160, 4},
+	})
 	if AutoCategories(Config{}, "nope", "nope") != nil {
 		t.Error("unknown queue should be nil")
 	}
@@ -63,6 +85,11 @@ func TestAutoCategoriesOnSchedulerTrace(t *testing.T) {
 	// looser than the paper-suite 0.95 — what matters is that all three
 	// strategies sit together near the target.
 	byName := checkStrategies(t, AutoCategoriesOn(Config{}, tr), 0.90)
+	checkPinned(t, byName, map[string]pinned{
+		"merged":        {13453, 12878, 1},
+		"fixed-buckets": {13368, 12803, 4},
+		"learned":       {13453, 12825, 4},
+	})
 	// Most scheduler waits are zero, so the median ratio degenerates; the
 	// mean ratio is instead dominated by the magnitude of misses (jobs
 	// whose wait dwarfed the quoted bound). A merged predictor quotes
@@ -76,5 +103,43 @@ func TestAutoCategoriesOnSchedulerTrace(t *testing.T) {
 		if got := byName[s].MeanRatio; got >= merged {
 			t.Errorf("%s mean overshoot %.3g not below merged %.3g", s, got, merged)
 		}
+	}
+}
+
+func TestLearnerLearnsSizeCategories(t *testing.T) {
+	// Two natural job classes: 1-2 processor jobs waiting ~1 minute,
+	// 64-128 processor jobs waiting ~1 hour. The learner must split them
+	// and quote the wide class a much larger bound.
+	l := &learner{seed: 3}
+	rng := rand.New(rand.NewSource(3))
+	observe := func() {
+		if rng.Float64() < 0.5 {
+			l.observe(1<<rng.Intn(2), math.Round(60*math.Exp(0.5*rng.NormFloat64())))
+		} else {
+			l.observe(64<<rng.Intn(2), math.Round(3600*math.Exp(0.5*rng.NormFloat64())))
+		}
+	}
+	for i := 0; i < learnWarmup-1; i++ {
+		observe()
+		if _, ok := l.forecast(1); ok {
+			t.Fatal("forecast during warm-up")
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		observe()
+	}
+	if len(l.fc) < 2 {
+		t.Fatalf("learned %d categories", len(l.fc))
+	}
+	if l.route(2) == l.route(128) {
+		t.Error("2 and 128 procs share a category")
+	}
+	small, ok1 := l.forecast(2)
+	large, ok2 := l.forecast(128)
+	if !ok1 || !ok2 {
+		t.Fatal("forecasts unavailable after warm-up")
+	}
+	if large < 4*small {
+		t.Errorf("learned categories not separated: small %g, large %g", small, large)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // (wal.go) appends and syncs; a TailReader follows behind, returning only
 // records at or below the durability watermark, so a leader never ships a
 // record it has not acked durable. Frames on the wire reuse the exact
-// on-disk encoding (EncodeFrames/DecodeFrames), CRC and all.
+// on-disk encoding (EncodeFrames/FrameDecoder), CRC and all.
 
 // SyncedSeq returns the durability watermark: every sequence number at or
 // below it has been flushed and fsynced by a successful sync. It is safe
@@ -76,23 +76,6 @@ func EncodeFrames(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// DecodeFrames decodes a buffer holding complete frames back into records.
-// Unlike replay, which tolerates torn tails, this is strict: a shipped
-// batch travels over a checksummed transport, so any invalid or truncated
-// frame is an error, never silently dropped.
-func DecodeFrames(b []byte) ([]Record, error) {
-	var recs []Record
-	for len(b) > 0 {
-		r, n, err := decodeFrame(b, nil)
-		if err != nil {
-			return nil, fmt.Errorf("wal: decode frames: %w", err)
-		}
-		recs = append(recs, r)
-		b = b[n:]
-	}
-	return recs, nil
-}
-
 // maxInternedKeys bounds a keyIntern table. Stream-key working sets are
 // tiny next to record counts; if a pathological producer churns through
 // more distinct keys than this, the table is dropped and rebuilt rather
@@ -120,10 +103,10 @@ func (ki *keyIntern) get(b []byte) string {
 	return s
 }
 
-// FrameDecoder decodes shipped batches with cross-call reuse: the record
-// slice is recycled and key strings are interned, so the follower apply
-// path's decode cost is flat per record regardless of batch count. The
-// returned slice (and its backing array) is only valid until the next
+// FrameDecoder decodes shipped batches (buffers of complete frames) back
+// into records, with cross-call reuse: the record slice is recycled and
+// key strings are interned, so the follower apply path's decode cost is
+// flat per record regardless of batch count. The returned slice (and its backing array) is only valid until the next
 // Decode call; callers may copy Record values out but must not retain the
 // slice. Not safe for concurrent use — one decoder per connection.
 type FrameDecoder struct {
@@ -131,7 +114,10 @@ type FrameDecoder struct {
 	recs []Record
 }
 
-// Decode is the reusing twin of DecodeFrames, with the same strictness.
+// Decode decodes every frame in b. Unlike replay, which tolerates torn
+// tails, it is strict: a shipped batch travels over a checksummed
+// transport, so any invalid or truncated frame is an error, never
+// silently dropped.
 func (d *FrameDecoder) Decode(b []byte) ([]Record, error) {
 	recs := d.recs[:0]
 	for len(b) > 0 {
@@ -153,8 +139,8 @@ func (d *FrameDecoder) Decode(b []byte) ([]Record, error) {
 var errShortFrame = fmt.Errorf("wal: short frame")
 
 // decodeFrame decodes one frame from the front of b, returning the record
-// and the full frame size. It is the slice-based twin of readRecord. A
-// non-nil ki interns the key string instead of allocating per record.
+// and the full frame size. It is the slice-based twin of readRecord; ki
+// interns the key string instead of allocating one per record.
 func decodeFrame(b []byte, ki *keyIntern) (Record, int, error) {
 	var r Record
 	if len(b) < frameHeaderLen {
@@ -180,11 +166,7 @@ func decodeFrame(b []byte, ki *keyIntern) (Record, int, error) {
 	r.Seq = binary.LittleEndian.Uint64(payload[0:8])
 	r.UnixNanos = int64(binary.LittleEndian.Uint64(payload[8:16]))
 	r.Wait = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24]))
-	if ki != nil {
-		r.Key = ki.get(payload[26 : 26+keyLen])
-	} else {
-		r.Key = string(payload[26 : 26+keyLen])
-	}
+	r.Key = ki.get(payload[26 : 26+keyLen])
 	return r, n, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func mustOpenReplayed(t *testing.T, fs FS, opt Options) *WAL {
@@ -194,7 +195,8 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 		{Seq: 9, Key: "üñï", Wait: 1e300, UnixNanos: 42},
 	}
 	buf := EncodeFrames(nil, recs)
-	got, err := DecodeFrames(buf)
+	var d FrameDecoder
+	got, err := d.Decode(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -210,12 +212,47 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 	for i := range buf {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0x20
-		if _, err := DecodeFrames(mut); err == nil {
+		if _, err := d.Decode(mut); err == nil {
 			t.Fatalf("flip at byte %d went undetected", i)
 		}
 	}
-	if _, err := DecodeFrames(buf[:len(buf)-1]); err == nil {
+	if _, err := d.Decode(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated frame buffer went undetected")
+	}
+}
+
+func TestFrameDecoderReuse(t *testing.T) {
+	var d FrameDecoder
+	first, err := d.Decode(EncodeFrames(nil, []Record{
+		{Seq: 1, Key: "q/1", Wait: 1},
+		{Seq: 2, Key: "q/2", Wait: 2},
+	}))
+	if err != nil {
+		t.Fatalf("first decode: %v", err)
+	}
+	key := first[0].Key
+	want := []Record{
+		{Seq: 3, Key: "q/1", Wait: 3, UnixNanos: 30},
+		{Seq: 4, Key: "q/3", Wait: 4, UnixNanos: 40},
+		{Seq: 5, Key: "q/1", Wait: 5, UnixNanos: 50},
+	}
+	got, err := d.Decode(EncodeFrames(nil, want))
+	if err != nil {
+		t.Fatalf("second decode: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
+		}
+	}
+	// A key repeated across calls shares the first call's string.
+	for _, i := range []int{0, 2} {
+		if unsafe.StringData(got[i].Key) != unsafe.StringData(key) {
+			t.Errorf("record %d key %q not interned across calls", i, got[i].Key)
+		}
 	}
 }
 

@@ -126,7 +126,9 @@ func BenchmarkServiceObserve(b *testing.B) {
 
 // BenchmarkServiceObserveBatch covers the batched apply path across batch
 // sizes and sync policies. One op = one batch; the reported records/s
-// metric normalizes across sizes. The sync=always numbers against
+// metric normalizes across sizes. Record r of the run carries wait
+// r%1000, the waits BenchmarkServiceObserve feeds, so size1 compares with
+// it per record. The sync=always numbers against
 // BenchmarkServiceObserve/wal-each-record (one fsync per record) are the
 // group-append payoff: at batch 100 the WAL pays one write and one fsync
 // for the whole batch.
@@ -146,13 +148,6 @@ func BenchmarkServiceObserveBatch(b *testing.B) {
 		}
 		return svc
 	}
-	makeBatch := func(size int) []ObserveRecord {
-		recs := make([]ObserveRecord, size)
-		for i := range recs {
-			recs[i] = ObserveRecord{Queue: "normal", Procs: 1, WaitSeconds: float64(10 + i%1000)}
-		}
-		return recs
-	}
 	for _, mode := range []struct {
 		name    string
 		mode    wal.SyncMode
@@ -165,10 +160,16 @@ func BenchmarkServiceObserveBatch(b *testing.B) {
 		for _, size := range []int{1, 10, 100} {
 			b.Run(fmt.Sprintf("%s/size%d", mode.name, size), func(b *testing.B) {
 				svc := newSvc(b, mode.mode, mode.withWAL, false)
-				batch := makeBatch(size)
+				batch := make([]ObserveRecord, size)
+				for j := range batch {
+					batch[j] = ObserveRecord{Queue: "normal", Procs: 1}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					for j := range batch {
+						batch[j].WaitSeconds = float64((i*size + j) % 1000)
+					}
 					if applied, err := svc.ObserveBatch(batch); err != nil || applied != size {
 						b.Fatalf("applied %d, %v", applied, err)
 					}

@@ -24,13 +24,22 @@ import (
 
 // rehydrateLocked restores an evicted stream's forecaster from its cold
 // blob. Caller holds the stream's write lock; on return the stream is
-// fully hydrated and settled, ready for applyRunLocked.
+// fully hydrated and settled, ready for applyRunLocked. A blob that does
+// not decode, or decodes to a forecaster other than the one the published
+// snapshot describes (a cold-adopted core whose summary fields disagree
+// with its state), is corrupt: the stream stays cold and keeps serving
+// the snapshot it has.
 func (st *stream) rehydrateLocked(s *Service) error {
 	fc := New()
 	if err := fc.UnmarshalBinary(st.cold); err != nil {
-		return fmt.Errorf("qbets: rehydrate stream %q: %w", st.key, err)
+		return fmt.Errorf("qbets: %w: rehydrate stream %q: %v", ErrCorruptState, st.key, err)
 	}
-	fc.Forecast() // settle before any read path can see it
+	bound, ok := fc.Forecast() // settle before any read path can see it
+	if snap := st.snap.Load(); bound != snap.boundSeconds || ok != snap.boundOK ||
+		fc.Observations() != snap.observations || fc.MinObservations() != snap.minObservations ||
+		fc.ChangePoints() != snap.trims {
+		return fmt.Errorf("qbets: %w: rehydrate stream %q: state disagrees with its summary", ErrCorruptState, st.key)
+	}
 	st.fc = fc
 	st.cold = nil
 	st.trimsSeen = fc.ChangePoints()

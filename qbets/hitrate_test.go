@@ -101,40 +101,3 @@ func TestHitRateRollingWindowRecovers(t *testing.T) {
 		t.Errorf("rolling hit rate %.4f has not recovered after shift (target %.2f)", st.RollingHitRate, st.TargetQuantile)
 	}
 }
-
-func TestAutoServiceHitRateMonitoring(t *testing.T) {
-	a := NewAutoService(2, 400, WithSeed(9))
-	rng := rand.New(rand.NewSource(9))
-	observe := func(n int) {
-		for i := 0; i < n; i++ {
-			// Two shape populations with different wait scales.
-			if i%2 == 0 {
-				a.Observe(2, 0, 30*math.Exp(rng.NormFloat64()))
-			} else {
-				a.Observe(64, 0, 3000*math.Exp(rng.NormFloat64()))
-			}
-		}
-	}
-	observe(300)
-	if a.Stats() != nil {
-		t.Fatal("stats available during warm-up")
-	}
-	observe(5700)
-	stats := a.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("categories = %d", len(stats))
-	}
-	for _, cs := range stats {
-		if !cs.BoundOK {
-			t.Errorf("category %d has no bound after 6000 observations", cs.Category)
-			continue
-		}
-		if cs.RollingResolved == 0 {
-			t.Errorf("category %d resolved no predictions", cs.Category)
-			continue
-		}
-		if cs.RollingHitRate < 0.95-0.03 {
-			t.Errorf("category %d rolling hit rate %.4f below target", cs.Category, cs.RollingHitRate)
-		}
-	}
-}
