@@ -11,7 +11,8 @@ import (
 // arbitrary segment bytes must never panic replay, never yield more data
 // than the file holds, and always account for every byte as either a
 // decoded record or a counted drop. Real frames embedded in the noise must
-// round-trip exactly.
+// round-trip exactly, and replay must agree with readRecord, the
+// record-at-a-time oracle, on every record and every dropped byte.
 func FuzzRecord(f *testing.F) {
 	// A clean segment with three records.
 	clean := []byte(segMagic)
@@ -61,26 +62,38 @@ func FuzzRecord(f *testing.F) {
 				minSize+stats.DroppedBytes, minSize, stats.DroppedBytes, len(data))
 		}
 
-		// Differential check against the frame decoder directly: replay
-		// must agree with a straight scan of the same bytes.
+		// Differential check against the record-at-a-time oracle: replay
+		// must decode the same records and account for the same dropped
+		// bytes and truncations.
+		var want []Record
+		wantTrunc, wantDropped := 1, int64(len(data)) // headerless: all dropped
 		if len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic {
+			wantTrunc, wantDropped = 0, 0
 			br := bufio.NewReader(bytes.NewReader(data[len(segMagic):]))
 			var scratch []byte
-			i := 0
 			for {
-				rec, s, _, err := readRecord(br, scratch)
+				rec, s, consumed, err := readRecord(br, scratch)
 				scratch = s
 				if err != nil {
-					if err == io.EOF && i != len(recs) {
-						t.Fatalf("direct scan found %d records, replay found %d", i, len(recs))
+					if err != io.EOF {
+						wantTrunc, wantDropped = 1, consumed+countRemaining(br)
 					}
 					break
 				}
-				if i >= len(recs) || rec != recs[i] {
-					t.Fatalf("record %d: direct scan %+v, replay %+v", i, rec, recs[i])
-				}
-				i++
+				want = append(want, rec)
 			}
+		}
+		if len(recs) != len(want) {
+			t.Fatalf("oracle decoded %d records, replay %d", len(want), len(recs))
+		}
+		for i := range want {
+			if recs[i] != want[i] {
+				t.Fatalf("record %d: oracle %+v, replay %+v", i, want[i], recs[i])
+			}
+		}
+		if stats.Truncations != wantTrunc || stats.DroppedBytes != wantDropped {
+			t.Fatalf("replay truncated %d segments dropping %d bytes, oracle %d dropping %d",
+				stats.Truncations, stats.DroppedBytes, wantTrunc, wantDropped)
 		}
 	})
 }

@@ -77,29 +77,35 @@ func EncodeFrames(buf []byte, recs []Record) []byte {
 }
 
 // maxInternedKeys bounds a keyIntern table. Stream-key working sets are
-// tiny next to record counts; if a pathological producer churns through
-// more distinct keys than this, the table is dropped and rebuilt rather
-// than growing without bound.
+// usually small next to record counts; a table that fills keeps the keys
+// it holds and stops inserting, so a working set larger than the bound
+// still hits on its first maxInternedKeys keys and the rest cost one
+// string each, instead of the whole table being rebuilt every
+// maxInternedKeys misses.
 const maxInternedKeys = 4096
 
 // keyIntern deduplicates record key strings across decoded frames. The
 // lookup uses Go's map[string]T special case for string([]byte) keys, so
 // a hit allocates nothing: steady-state decoding of a stream's records
 // reuses one shared string per distinct key instead of allocating per
-// record.
+// record. unbounded lifts maxInternedKeys for a table whose owner is
+// short-lived and already holds every key it decodes (one Replay call).
 type keyIntern struct {
-	m map[string]string
+	m         map[string]string
+	unbounded bool
 }
 
 func (ki *keyIntern) get(b []byte) string {
 	if s, ok := ki.m[string(b)]; ok {
 		return s
 	}
-	if ki.m == nil || len(ki.m) >= maxInternedKeys {
+	s := string(b)
+	if ki.m == nil {
 		ki.m = make(map[string]string, 64)
 	}
-	s := string(b)
-	ki.m[s] = s
+	if ki.unbounded || len(ki.m) < maxInternedKeys {
+		ki.m[s] = s
+	}
 	return s
 }
 
@@ -139,8 +145,10 @@ func (d *FrameDecoder) Decode(b []byte) ([]Record, error) {
 var errShortFrame = fmt.Errorf("wal: short frame")
 
 // decodeFrame decodes one frame from the front of b, returning the record
-// and the full frame size. It is the slice-based twin of readRecord; ki
-// interns the key string instead of allocating one per record.
+// and the full frame size. It is the package's one frame decoder: Replay
+// runs it in place over its read buffer, FrameDecoder over shipped
+// batches and TailReader over segment bytes. ki interns the key string
+// instead of allocating one per record.
 func decodeFrame(b []byte, ki *keyIntern) (Record, int, error) {
 	var r Record
 	if len(b) < frameHeaderLen {

@@ -256,6 +256,45 @@ func TestFrameDecoderReuse(t *testing.T) {
 	}
 }
 
+// TestKeyInternFullTableKeepsItsKeys pins the intern table's behaviour
+// past maxInternedKeys: with more live keys than the bound (a 10,000-
+// stream log read by a follower's decoder), a full table keeps the keys
+// it holds and stops inserting, rather than dropping everything and
+// churning. Replay's table, which lives for one call, has no bound.
+func TestKeyInternFullTableKeepsItsKeys(t *testing.T) {
+	const distinct = 5000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("site%04d.machine/queue/1-4", i)) }
+	var ki keyIntern
+	var first string
+	for i := 0; i < distinct; i++ {
+		s := ki.get(key(i))
+		if i == 0 {
+			first = s
+		}
+	}
+	if len(ki.m) > maxInternedKeys {
+		t.Fatalf("table holds %d keys, bound is %d", len(ki.m), maxInternedKeys)
+	}
+	b := key(0)
+	if allocs := testing.AllocsPerRun(100, func() { ki.get(b) }); allocs != 0 {
+		t.Fatalf("first key allocates %g times per lookup after %d distinct keys, want a hit", allocs, distinct)
+	}
+	if unsafe.StringData(ki.get(b)) != unsafe.StringData(first) {
+		t.Fatalf("first key no longer shares its interned string")
+	}
+	if got := ki.get(key(distinct - 1)); got != string(key(distinct-1)) {
+		t.Fatalf("key past the bound decoded as %q", got)
+	}
+
+	replay := keyIntern{unbounded: true}
+	for i := 0; i < distinct; i++ {
+		replay.get(key(i))
+	}
+	if len(replay.m) != distinct {
+		t.Fatalf("replay table holds %d keys, want all %d", len(replay.m), distinct)
+	}
+}
+
 func TestNotifySyncSignalsWatermarkAdvance(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})

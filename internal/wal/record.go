@@ -1,12 +1,9 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -49,8 +46,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errCorrupt marks a frame that is present but fails validation (bad
 // length, inconsistent key length, or CRC mismatch). A frame cut short by
-// a torn write surfaces as io.ErrUnexpectedEOF instead; replay treats both
-// as the end of the recoverable prefix.
+// a torn write surfaces as errShortFrame instead; replay treats both as
+// the end of the recoverable prefix.
 var errCorrupt = errors.New("wal: corrupt record frame")
 
 // appendRecord appends r's framed encoding to buf and returns the
@@ -69,53 +66,4 @@ func appendRecord(buf []byte, r Record) []byte {
 	crc := crc32.Checksum(buf[payloadAt:], castagnoli)
 	binary.LittleEndian.PutUint32(buf[crcAt:], crc)
 	return buf
-}
-
-// readRecord decodes the next frame from br. It returns io.EOF at a clean
-// frame boundary, io.ErrUnexpectedEOF for a frame cut short by a torn
-// write, and errCorrupt for a frame that is structurally invalid or fails
-// its checksum. consumed reports how many bytes of br the call used, so
-// replay can account for a bad frame's own bytes when reporting what it
-// dropped. scratch is reused across calls to avoid per-record allocation:
-// it takes the frame header, then the payload, so the only allocation a
-// record costs is its key string.
-func readRecord(br *bufio.Reader, scratch []byte) (r Record, _ []byte, consumed int64, err error) {
-	if cap(scratch) < frameHeaderLen {
-		scratch = make([]byte, frameHeaderLen, 256)
-	}
-	hdr := scratch[:frameHeaderLen]
-	n, err := io.ReadFull(br, hdr)
-	consumed = int64(n)
-	if err != nil {
-		if err == io.EOF { // clean boundary: no bytes of a next frame exist
-			return r, scratch, consumed, io.EOF
-		}
-		return r, scratch, consumed, io.ErrUnexpectedEOF
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(hdr[:4]))
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if payloadLen < recordFixedLen || payloadLen > recordFixedLen+MaxKeyLen {
-		return r, scratch, consumed, fmt.Errorf("%w: payload length %d", errCorrupt, payloadLen)
-	}
-	if cap(scratch) < payloadLen {
-		scratch = make([]byte, payloadLen)
-	}
-	payload := scratch[:payloadLen]
-	n, err = io.ReadFull(br, payload)
-	consumed += int64(n)
-	if err != nil {
-		return r, scratch, consumed, io.ErrUnexpectedEOF
-	}
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return r, scratch, consumed, fmt.Errorf("%w: checksum mismatch", errCorrupt)
-	}
-	keyLen := int(binary.LittleEndian.Uint16(payload[24:26]))
-	if recordFixedLen+keyLen != payloadLen {
-		return r, scratch, consumed, fmt.Errorf("%w: key length %d disagrees with payload length %d", errCorrupt, keyLen, payloadLen)
-	}
-	r.Seq = binary.LittleEndian.Uint64(payload[0:8])
-	r.UnixNanos = int64(binary.LittleEndian.Uint64(payload[8:16]))
-	r.Wait = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24]))
-	r.Key = string(payload[26 : 26+keyLen])
-	return r, scratch, consumed, nil
 }

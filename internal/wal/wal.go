@@ -23,6 +23,7 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -320,14 +321,15 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 	if err != nil {
 		return stats, fmt.Errorf("wal: %w", err)
 	}
-	scratch := make([]byte, 0, 256)
+	// Keys interned for the whole call: a log names each stream many
+	// times, and the apply callback keeps each distinct key anyway.
+	ki := keyIntern{unbounded: true}
 	for _, idx := range indices {
 		name := filepath.Join(w.dir, segName(idx))
 		f, err := w.opt.FS.Open(name)
 		if err != nil {
 			return stats, fmt.Errorf("wal: %w", err)
 		}
-		var rerr error
 		stats.Segments++
 		br := bufio.NewReaderSize(f, 64<<10)
 		magic := make([]byte, len(segMagic))
@@ -338,11 +340,24 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 			f.Close()
 			continue
 		}
-		var badFrame int64
+		// Frames decode in place from the read buffer: Peek the header,
+		// then Peek the whole frame (its valid lengths are far below the
+		// buffer size), decode it, and Discard it only once it is valid.
 		for {
-			var rec Record
-			rec, scratch, badFrame, rerr = readRecord(br, scratch)
-			if rerr != nil {
+			b, perr := br.Peek(frameHeaderLen)
+			if len(b) == 0 && perr == io.EOF {
+				break // clean frame boundary
+			}
+			if len(b) == frameHeaderLen {
+				payloadLen := min(binary.LittleEndian.Uint32(b), recordFixedLen+MaxKeyLen)
+				b, _ = br.Peek(frameHeaderLen + int(payloadLen))
+			}
+			rec, n, derr := decodeFrame(b, &ki)
+			if derr != nil {
+				// Torn or invalid frame: drop it and everything after it
+				// in this segment.
+				stats.Truncations++
+				stats.DroppedBytes += countRemaining(br)
 				break
 			}
 			stats.Records++
@@ -352,12 +367,7 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 			if apply != nil {
 				apply(rec)
 			}
-		}
-		if rerr != io.EOF {
-			// Invalid frame: drop it and everything after it in this
-			// segment — the bad frame's own bytes plus whatever follows.
-			stats.Truncations++
-			stats.DroppedBytes += badFrame + countRemaining(br)
+			br.Discard(n) // cannot fail: the n bytes are buffered
 		}
 		f.Close()
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
@@ -432,12 +433,13 @@ func appendOne(w *WAL, key string, wait float64, unixNanos int64) (uint64, error
 	return w.AppendBatch([]Entry{{Key: key, Wait: wait, UnixNanos: unixNanos}})
 }
 
-// TestReplayAllocsPerRecord pins replay's allocation budget: decoding a
-// record costs one allocation, its key string. The frame header and the
-// payload go through the scratch buffer replay reuses, so replaying N
-// records allocates at most N plus a constant for opening the log.
+// TestReplayAllocsPerRecord pins replay's allocation budget: a record
+// costs no allocation, a distinct key one string. Frames decode in place
+// from the read buffer and keys are interned for the whole call, so
+// replaying N records over K keys allocates at most K plus a constant for
+// opening the log, whatever N is.
 func TestReplayAllocsPerRecord(t *testing.T) {
-	const records = 2000
+	const records, keys = 2000, 50
 	fs := NewMemFS()
 	w, err := Open("wal", Options{FS: fs, Mode: SyncOff})
 	if err != nil {
@@ -448,7 +450,7 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 	}
 	entries := make([]Entry, records)
 	for i := range entries {
-		entries[i] = Entry{Key: "queue/1-4", Wait: float64(i), UnixNanos: 1}
+		entries[i] = Entry{Key: fmt.Sprintf("site%04d.machine/queue/1-4", i%keys), Wait: float64(i), UnixNanos: 1}
 	}
 	if _, err := w.AppendBatch(entries); err != nil {
 		t.Fatal(err)
@@ -471,7 +473,7 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 	if seen != records {
 		t.Fatalf("replayed %d records, want %d", seen, records)
 	}
-	if budget := float64(records + 64); allocs > budget {
-		t.Fatalf("replaying %d records allocates %g times, want at most %g (one key string each)", records, allocs, budget)
+	if budget := float64(keys + 64); allocs > budget {
+		t.Fatalf("replaying %d records over %d keys allocates %g times, want at most %g (one string per key)", records, keys, allocs, budget)
 	}
 }

@@ -24,11 +24,24 @@ func recoverBenchKeys(n int) []string {
 // log lives in a MemFS so the number is the replay code's, not the disk's.
 //
 //	go test -run '^$' -bench RecoverWAL -benchtime=5x ./qbets/
-func BenchmarkRecoverWAL(b *testing.B) {
-	const streams, perStream = 10000, 100
-	keys := recoverBenchKeys(streams)
+func BenchmarkRecoverWAL(b *testing.B) { benchRecoverWAL(b, recoverBenchKeys(10000)) }
+
+// BenchmarkRecoverWALSiteKeys is BenchmarkRecoverWAL with keys shaped
+// like loadbench forecast's ("siteNNNN.machine/queue/label", about 30
+// bytes): a per-record key cost (hashing, copying, comparing) weighs
+// three times as much as on BenchmarkRecoverWAL's 9-byte keys.
+func BenchmarkRecoverWALSiteKeys(b *testing.B) {
+	keys := make([]string, 10000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("site%04d.machine/queue/%s", i/4, ProcCategory(i%4).Label())
+	}
+	benchRecoverWAL(b, keys)
+}
+
+func benchRecoverWAL(b *testing.B, keys []string) {
+	const perStream = 100
 	rng := rand.New(rand.NewSource(1))
-	recs := make([]wal.Record, 0, streams*perStream)
+	recs := make([]wal.Record, 0, len(keys)*perStream)
 	for r := 0; r < perStream; r++ {
 		for _, k := range keys {
 			recs = append(recs, wal.Record{Seq: uint64(len(recs) + 1), Key: k, Wait: rng.ExpFloat64() * 600, UnixNanos: 1})
@@ -53,8 +66,8 @@ func BenchmarkRecoverWAL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Records != total || s.NumStreams() != streams {
-			b.Fatalf("replayed %d records into %d streams, want %d into %d", stats.Records, s.NumStreams(), total, streams)
+		if stats.Records != total || s.NumStreams() != len(keys) {
+			b.Fatalf("replayed %d records into %d streams, want %d into %d", stats.Records, s.NumStreams(), total, len(keys))
 		}
 		w.Close()
 	}

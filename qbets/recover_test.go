@@ -194,7 +194,7 @@ func TestRecoverWALMatchesRecordAtATimeOracle(t *testing.T) {
 		wantErr bool
 	}{
 		{name: "interleaved", base: func(*testing.T) *Service { return NewService(true) }},
-		{name: "batch-crossing", base: func(*testing.T) *Service { return NewService(true) }, log: hotLog(3, 3*replayBatch+replayBatch/2, 5)},
+		{name: "batch-crossing", base: func(*testing.T) *Service { return NewService(true) }, log: hotLog(3, 3*replayBatch(1)+replayBatch(1)/2, 5)},
 		{name: "snapshot-prefix", base: func(t *testing.T) *Service {
 			s := NewService(true)
 			if err := s.unmarshalLegacy(snapBlob); err != nil {
@@ -347,7 +347,7 @@ func checkBatchCrossing(t *testing.T, recs []wal.Record, procs int, trims map[ui
 	runs := make(map[runKey][]uint64)
 	for _, r := range recs {
 		p := int(keyHash(r.Key) % uint32(procs))
-		rk := runKey{r.Key, p, filled[p] / replayBatch}
+		rk := runKey{r.Key, p, filled[p] / replayBatch(procs)}
 		filled[p]++
 		runs[rk] = append(runs[rk], r.Seq)
 	}
@@ -387,10 +387,11 @@ func TestPromoteRecoverCoherentUnderReads(t *testing.T) {
 	add := func(key string) {
 		recs = append(recs, wal.Record{Seq: uint64(len(recs) + 1), Key: key, Wait: rng.ExpFloat64() * 100, UnixNanos: 1})
 	}
-	for i := 0; i < 3*replayBatch; i++ {
+	batch := replayBatch(runtime.GOMAXPROCS(0))
+	for i := 0; i < 3*batch; i++ {
 		add(soloKey)
 	}
-	for i := 0; i < 2*replayBatch; i++ {
+	for i := 0; i < 2*batch; i++ {
 		add(others[rng.Intn(len(others))])
 	}
 	const replicated = 1000 // the follower's applied prefix, all solo
@@ -405,12 +406,12 @@ func TestPromoteRecoverCoherentUnderReads(t *testing.T) {
 	// The stream's states so far are its creation (a reader may still be
 	// served it: ApplyReplicated's group is published lazily) and the
 	// replicated prefix. Worker batch b then holds sequence numbers
-	// (b-1)*replayBatch+1 .. b*replayBatch; those in the replicated prefix
+	// (b-1)*batch+1 .. b*batch; those in the replicated prefix
 	// are skipped.
 	boundaries := map[int]bool{0: true, replicated: true}
 	seen := replicated
 	for b := 1; b <= 3; b++ {
-		seen = max(seen, b*replayBatch)
+		seen = max(seen, b*batch)
 		boundaries[seen] = true
 	}
 

@@ -99,8 +99,9 @@ func (r *replicaSnapStream) Close()             {}
 
 // AppendChunk renders chunk i — a JSON object mapping stream keys to
 // their shard cores, the same per-stream document the sharded save format
-// uses — into dst. Transient memory is O(chunk): one core marshal at a
-// time, appended straight into the caller's buffer.
+// uses — into dst. Transient memory is O(chunk): each core is rendered
+// under its stream's read lock and encoded straight into the caller's
+// buffer.
 func (r *replicaSnapStream) AppendChunk(i int, dst []byte) ([]byte, error) {
 	lo, hi := i*r.per, (i+1)*r.per
 	if hi > len(r.keys) {
@@ -109,24 +110,10 @@ func (r *replicaSnapStream) AppendChunk(i int, dst []byte) ([]byte, error) {
 	if i < 0 || lo >= hi {
 		return nil, fmt.Errorf("qbets: snapshot chunk %d out of range (%d chunks)", i, r.Chunks())
 	}
-	dst = append(dst, '{')
-	for j := lo; j < hi; j++ {
-		core, err := coreOf(r.keys[j], r.sts[j])
-		if err != nil {
-			return nil, err
-		}
-		doc, err := json.Marshal(core)
-		if err != nil {
-			return nil, err
-		}
-		if j > lo {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, r.keys[j])
-		dst = append(dst, ':')
-		dst = append(dst, doc...)
-	}
-	return append(dst, '}'), nil
+	keys, sts := r.keys[lo:hi], r.sts[lo:hi]
+	return appendShardCores(dst, keys, func(j int) (shardStream, error) {
+		return coreOf(keys[j], sts[j])
+	})
 }
 
 // pendingReplicaSnapshot accumulates an incoming chunked install: streams
@@ -170,8 +157,8 @@ func (s *Service) BeginReplicaSnapshot(coveredSeq uint64, header []byte) error {
 // the same cold adoption as a sharded restore — no forecaster history is
 // decoded until a stream's first write.
 func (s *Service) ApplyReplicaSnapshotChunk(index int, chunk []byte) error {
-	var m map[string]shardStream
-	if err := json.Unmarshal(chunk, &m); err != nil {
+	m, err := parseShardCores(chunk)
+	if err != nil {
 		return fmt.Errorf("qbets: %w: replica snapshot chunk %d: %v", ErrCorruptState, index, err)
 	}
 	s.pendingSnapMu.Lock()

@@ -556,16 +556,22 @@ func (st *stream) applyRunLocked(s *Service, run []replayRecord, live bool) {
 	st.markDirtyLocked(s)
 }
 
-// replayBatch is how many decoded records RecoverWAL hands one apply
-// worker at a time. A batch is grouped into per-stream runs, and each run
-// pays one lock hold, one settle and one publication, so the batch must be
-// large enough that a busy log's streams form runs of several records: a
-// log interleaving 10,000 streams round-robin gives runs of 1.6 records
-// on one worker and 3.3 on two. It is not larger because a worker starts
-// only once the decoder has filled its first batch (docs/PERFORMANCE.md
-// has the sweep this size came from). A batch is garbage once its worker
-// has applied it, so the size leaves the settled heap unchanged.
-const replayBatch = 16384
+// replayInFlight is how many decoded records RecoverWAL's apply workers
+// take per batch between them: each of w workers is handed batches of
+// replayBatch(w) = replayInFlight/w records. A batch is grouped into
+// per-stream runs, and each run pays one lock hold, one settle and one
+// publication, so runs must span several records: a log interleaving
+// 10,000 streams round-robin gives runs of 6.5 records on any worker
+// count. Fixing the total rather than the per-worker size also fixes the
+// start-up cost, since a worker starts only once the decoder has filled
+// its first batch: about replayInFlight records on any core count
+// (docs/PERFORMANCE.md has the sweep this size came from). A batch is
+// garbage once its worker has applied it, so the size leaves the settled
+// heap unchanged.
+const replayInFlight = 65536
+
+// replayBatch is the batch size of each of workers apply workers.
+func replayBatch(workers int) int { return max(1, replayInFlight/workers) }
 
 // replayRecord is one record of a per-stream run, already resolved to its
 // stream: a decoded log record bound for a recovery or replication apply,
@@ -1109,14 +1115,15 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 //
 // RecoverWAL must be called once, before the service takes traffic.
 //
-// Replay decodes on one goroutine and applies on GOMAXPROCS: each record
-// is resolved to its stream in log order (so stream creation, and with it
-// seed assignment, matches record-at-a-time replay), then handed to the
-// apply worker its key hashes to. A stream belongs to exactly one worker,
+// Replay decodes on one goroutine and applies on GOMAXPROCS: each key is
+// resolved to its stream on its first record, in log order (so stream
+// creation, and with it seed assignment, matches record-at-a-time
+// replay), and each record is handed to the apply worker its key hashes
+// to. A stream belongs to exactly one worker,
 // so within a stream the log's order is preserved exactly, and streams
 // are independent, so recovered state matches record-at-a-time replay.
-// Each worker groups a batch of replayBatch records by stream and folds
-// every group as one run: one lock acquisition, one settle and one
+// Each worker groups a batch of replayBatch(GOMAXPROCS) records by stream
+// and folds every group as one run: one lock acquisition, one settle and one
 // publication (applyRunLocked). A stream's records may straddle batches;
 // each batch's share is its own run, still in log order. A cold-adopted
 // stream (sharded restore) rehydrates before its first group applies;
@@ -1124,6 +1131,7 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 // replayed.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 	workers := runtime.GOMAXPROCS(0)
+	batchLen := replayBatch(workers)
 	queues := make([]chan []replayRecord, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -1143,14 +1151,26 @@ func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 		}()
 	}
 	pending := make([][]replayRecord, workers)
+	// Each distinct key resolves to its stream and worker once, on its
+	// first record; later records cost one probe of this map.
+	type target struct {
+		st     *stream
+		worker uint32
+	}
+	resolved := make(map[string]target)
 	stats, err := w.Replay(func(r wal.Record) {
-		p := keyHash(r.Key) % uint32(workers)
+		t, ok := resolved[r.Key]
+		if !ok {
+			t = target{st: s.getOrCreate(r.Key), worker: keyHash(r.Key) % uint32(workers)}
+			resolved[r.Key] = t
+		}
+		p := t.worker
 		b := pending[p]
 		if b == nil {
-			b = make([]replayRecord, 0, replayBatch)
+			b = make([]replayRecord, 0, batchLen)
 		}
-		b = append(b, replayRecord{st: s.getOrCreate(r.Key), wait: r.Wait, seq: r.Seq})
-		if len(b) == replayBatch {
+		b = append(b, replayRecord{st: t.st, wait: r.Wait, seq: r.Seq})
+		if len(b) == batchLen {
 			queues[p] <- b
 			b = nil
 		}

@@ -1,13 +1,19 @@
 package qbets
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -132,13 +138,12 @@ func (s *Service) saveShards(dir string, shards int) error {
 	}
 
 	// Partition by key hash, then render shards in parallel — each worker
-	// owns its shard's map wholesale, so no cross-worker coordination.
-	parts := make([]map[string]*stream, shards)
-	for i := range parts {
-		parts[i] = make(map[string]*stream, len(streams)/shards+1)
-	}
-	for k, st := range streams {
-		parts[keyHash(k)%uint32(shards)][k] = st
+	// owns its shard's key list wholesale, so no cross-worker
+	// coordination. Keys are sorted, the order encoding/json gives a map.
+	parts := make([][]string, shards)
+	for k := range streams {
+		i := keyHash(k) % uint32(shards)
+		parts[i] = append(parts[i], k)
 	}
 
 	gen := fmt.Sprintf("gen-%d", time.Now().UnixNano())
@@ -148,16 +153,11 @@ func (s *Service) saveShards(dir string, shards int) error {
 	}
 	errs := make([]error, shards)
 	parallel.ForEachIndex(shards, func(i int) {
-		out := make(map[string]shardStream, len(parts[i]))
-		for k, st := range parts[i] {
-			core, err := coreOf(k, st)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[k] = core
-		}
-		doc, err := json.Marshal(out)
+		keys := parts[i]
+		sort.Strings(keys)
+		doc, err := appendShardCores(nil, keys, func(j int) (shardStream, error) {
+			return coreOf(keys[j], streams[keys[j]])
+		})
 		if err != nil {
 			errs[i] = err
 			return
@@ -203,6 +203,22 @@ func (s *Service) saveShards(dir string, shards int) error {
 
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.json", i) }
 
+// isGenName reports whether name is a generation directory name as
+// saveShards writes it: "gen-" and a decimal timestamp. CURRENT naming
+// anything else is corrupt, not a path to try.
+func isGenName(name string) bool {
+	digits, ok := strings.CutPrefix(name, "gen-")
+	if !ok || digits == "" || len(digits) > 19 {
+		return false
+	}
+	for _, c := range []byte(digits) {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
 // coreOf renders one stream's saved core under its read lock — the unit
 // both the sharded saver and the replication snapshot serialize.
 func coreOf(k string, st *stream) (shardStream, error) {
@@ -214,6 +230,298 @@ func coreOf(k string, st *stream) (shardStream, error) {
 	}
 	core.State = blob
 	return core, nil
+}
+
+// The shard-core codec. A shard file and a catch-up snapshot chunk are
+// each one JSON object mapping stream keys to their shardStream cores,
+// exactly as encoding/json renders a map[string]shardStream. Both sides
+// move up to hundreds of kilobytes of base64 blobs per document on every
+// restart and follower catch-up, where reflection dominated the time, so
+// the document is written and read by hand:
+//
+//   - appendShardCores writes the bytes json.Marshal would (sorted keys,
+//     the struct's field order, omitempty, encoding/json's string and
+//     float formatting), and like json.Marshal refuses a NaN or infinite
+//     bound.
+//   - parseShardCores decodes that canonical form on a fast path — no
+//     whitespace, fields in struct order, keys without escapes, no
+//     duplicate keys, JSON number grammar — and hands every other
+//     document to encoding/json, which stays the only authority on what a
+//     document means and which documents are malformed.
+//
+// FuzzShardCores checks both directions against encoding/json.
+
+// appendShardCores appends to dst the document mapping keys[i] to
+// core(i), for keys in ascending order (the order json.Marshal sorts a
+// map's keys into). core is called once per key, in order, so a caller
+// can render each stream under its own lock.
+func appendShardCores(dst []byte, keys []string, core func(i int) (shardStream, error)) ([]byte, error) {
+	dst = append(dst, '{')
+	for i, k := range keys {
+		c, err := core(i)
+		if err != nil {
+			return nil, err
+		}
+		if math.IsNaN(c.Bound) || math.IsInf(c.Bound, 0) {
+			return nil, fmt.Errorf("qbets: stream %q: unsupported bound %v", k, c.Bound)
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, k)
+		dst = append(dst, `:{"state":`...)
+		if c.State == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '"')
+			dst = base64.StdEncoding.AppendEncode(dst, c.State)
+			dst = append(dst, '"')
+		}
+		if c.Seq != 0 {
+			dst = append(dst, `,"seq":`...)
+			dst = strconv.AppendUint(dst, c.Seq, 10)
+		}
+		if c.Bound != 0 {
+			dst = append(dst, `,"bound":`...)
+			dst = appendJSONFloat(dst, c.Bound)
+		}
+		if c.BoundOK {
+			dst = append(dst, `,"bound_ok":true`...)
+		}
+		dst = appendIntField(dst, `,"observations":`, int64(c.Observations))
+		dst = appendIntField(dst, `,"min_observations":`, int64(c.MinObservations))
+		dst = appendIntField(dst, `,"trims":`, int64(c.Trims))
+		dst = appendIntField(dst, `,"last_trim_unix":`, c.LastTrimUnix)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendIntField appends an omitempty integer field.
+func appendIntField(dst []byte, name string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	dst = append(dst, name...)
+	return strconv.AppendInt(dst, v, 10)
+}
+
+// parseShardCores decodes a shard-core document (see appendShardCores).
+// It accepts and rejects exactly the documents json.Unmarshal into a
+// map[string]shardStream does, with the same result.
+func parseShardCores(doc []byte) (map[string]shardStream, error) {
+	if m, ok := parseCanonicalShardCores(doc); ok {
+		return m, nil
+	}
+	var m map[string]shardStream
+	if err := json.Unmarshal(doc, &m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// parseCanonicalShardCores is parseShardCores' fast path. ok=false means
+// only that the document is not in canonical form; it may still be valid.
+func parseCanonicalShardCores(b []byte) (m map[string]shardStream, ok bool) {
+	p := coreParser{b: b}
+	if !p.lit("{") {
+		return nil, false
+	}
+	m = make(map[string]shardStream, bytes.Count(b, []byte(`:{"state":`)))
+	if p.lit("}") {
+		return m, p.i == len(b)
+	}
+	for {
+		key, ok := p.plainString()
+		if !ok || !p.lit(`:{"state":`) {
+			return nil, false
+		}
+		var c shardStream
+		if !p.lit("null") {
+			if c.State, ok = p.base64String(); !ok {
+				return nil, false
+			}
+		}
+		if p.lit(`,"seq":`) {
+			if c.Seq, ok = p.uint(); !ok {
+				return nil, false
+			}
+		}
+		if p.lit(`,"bound":`) {
+			if c.Bound, ok = p.float(); !ok {
+				return nil, false
+			}
+		}
+		if p.lit(`,"bound_ok":`) {
+			if c.BoundOK = p.lit("true"); !c.BoundOK && !p.lit("false") {
+				return nil, false
+			}
+		}
+		if !p.intField(`,"observations":`, &c.Observations) ||
+			!p.intField(`,"min_observations":`, &c.MinObservations) ||
+			!p.intField(`,"trims":`, &c.Trims) {
+			return nil, false
+		}
+		if p.lit(`,"last_trim_unix":`) {
+			if c.LastTrimUnix, ok = p.int(64); !ok {
+				return nil, false
+			}
+		}
+		if !p.lit("}") {
+			return nil, false
+		}
+		if _, dup := m[string(key)]; dup {
+			return nil, false
+		}
+		m[string(key)] = c
+		if p.lit("}") {
+			return m, p.i == len(b)
+		}
+		if !p.lit(",") {
+			return nil, false
+		}
+	}
+}
+
+// coreParser is parseCanonicalShardCores' cursor. lit and number move it
+// only when they match; after any other failure the cursor is undefined
+// and the caller abandons the fast path.
+type coreParser struct {
+	b []byte
+	i int
+}
+
+func (p *coreParser) lit(s string) bool {
+	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// plainString reads a string literal without escapes, control bytes or
+// invalid UTF-8 — one encoding/json decodes to its raw bytes.
+func (p *coreParser) plainString() ([]byte, bool) {
+	if !p.lit(`"`) {
+		return nil, false
+	}
+	start := p.i
+	for ; p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
+			s := p.b[start:p.i]
+			p.i++
+			return s, utf8.Valid(s)
+		case c < 0x20 || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// base64String reads a string literal holding base64 and decodes it as
+// encoding/json decodes a []byte field: into a slice of DecodedLen
+// capacity, with StdEncoding's rules. Escapes and bytes outside the
+// alphabet fail the decode; the one thing StdEncoding would accept that
+// encoding/json treats differently is a raw CR or LF (skipped by the
+// decoder, malformed in a JSON string), and a skipped byte shows as a
+// decoded length short of the literal's.
+func (p *coreParser) base64String() ([]byte, bool) {
+	if !p.lit(`"`) {
+		return nil, false
+	}
+	end := bytes.IndexByte(p.b[p.i:], '"')
+	if end < 0 {
+		return nil, false
+	}
+	s := p.b[p.i : p.i+end]
+	p.i += end + 1
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n, err := base64.StdEncoding.Decode(out, s)
+	return out[:n], err == nil && base64.StdEncoding.EncodedLen(n) == len(s)
+}
+
+// number reads a number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
+// has a fraction or exponent.
+func (p *coreParser) number() (num []byte, isInt bool, ok bool) {
+	b, i := p.b, p.i
+	digits := func() int {
+		start := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if digits() == 0 {
+		return nil, false, false
+	}
+	isInt = true
+	if i < len(b) && b[i] == '.' {
+		i++
+		if digits() == 0 {
+			return nil, false, false
+		}
+		isInt = false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return nil, false, false
+		}
+		isInt = false
+	}
+	num, p.i = b[p.i:i], i
+	return num, isInt, true
+}
+
+// uint, int and float parse a number as encoding/json does into a field
+// of that type: strconv on the literal's bytes, no fraction or exponent
+// for the integer kinds.
+func (p *coreParser) uint() (uint64, bool) {
+	num, isInt, ok := p.number()
+	if !ok || !isInt {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(string(num), 10, 64)
+	return v, err == nil
+}
+
+func (p *coreParser) int(bits int) (int64, bool) {
+	num, isInt, ok := p.number()
+	if !ok || !isInt {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(num), 10, bits)
+	return v, err == nil
+}
+
+// intField reads an optional int field: absent, or name then a valid
+// integer. It reports false only for a present field with a bad value.
+func (p *coreParser) intField(name string, dst *int) bool {
+	if !p.lit(name) {
+		return true
+	}
+	v, ok := p.int(strconv.IntSize)
+	*dst = int(v)
+	return ok
+}
+
+func (p *coreParser) float() (float64, bool) {
+	num, _, ok := p.number()
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(num), 64)
+	return v, err == nil
 }
 
 // adoptColdStream builds an evicted stream straight from its saved core:
@@ -275,7 +583,7 @@ func (s *Service) LoadShards(dir string) error {
 		return err
 	}
 	gen := strings.TrimSpace(string(cur))
-	if gen == "" || strings.Contains(gen, "/") {
+	if !isGenName(gen) {
 		return fmt.Errorf("qbets: %w: bad CURRENT %q", ErrCorruptState, gen)
 	}
 	genDir := filepath.Join(dir, gen)
@@ -293,6 +601,14 @@ func (s *Service) LoadShards(dir string) error {
 	if man.Shards < 1 {
 		return fmt.Errorf("qbets: %w: manifest shards=%d", ErrCorruptState, man.Shards)
 	}
+	// The manifest sizes the per-shard tables below; a corrupt shard count
+	// must fail here, not as a giant allocation.
+	if _, err := os.Stat(filepath.Join(genDir, shardFileName(man.Shards-1))); err != nil {
+		if os.IsNotExist(err) {
+			return fmt.Errorf("qbets: %w: manifest shards=%d: %v", ErrCorruptState, man.Shards, err)
+		}
+		return err
+	}
 	shardMaps := make([]map[string]shardStream, man.Shards)
 	errs := make([]error, man.Shards)
 	parallel.ForEachIndex(man.Shards, func(i int) {
@@ -305,8 +621,8 @@ func (s *Service) LoadShards(dir string) error {
 			}
 			return
 		}
-		var m map[string]shardStream
-		if err := json.Unmarshal(doc, &m); err != nil {
+		m, err := parseShardCores(doc)
+		if err != nil {
 			errs[i] = fmt.Errorf("qbets: %w: %s: %v", ErrCorruptState, shardFileName(i), err)
 			return
 		}
@@ -315,7 +631,11 @@ func (s *Service) LoadShards(dir string) error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	restored := make(map[string]*stream, man.Streams)
+	n := 0
+	for _, m := range shardMaps {
+		n += len(m)
+	}
+	restored := make(map[string]*stream, n)
 	for _, m := range shardMaps {
 		for k, core := range m {
 			restored[k] = s.adoptColdStream(k, core)

@@ -165,6 +165,12 @@ func TestLoadShardsCorruption(t *testing.T) {
 	corrupt("bad-current", func(dir string) {
 		os.WriteFile(filepath.Join(dir, currentFile), []byte("../escape\n"), 0o644)
 	})
+	corrupt("zero-filled-current", func(dir string) {
+		os.WriteFile(filepath.Join(dir, currentFile), make([]byte, 8), 0o644)
+	})
+	corrupt("huge-shard-count", func(dir string) {
+		os.WriteFile(filepath.Join(genDir(dir), "manifest.json"), []byte(`{"shards":4611686018427387904}`), 0o644)
+	})
 	corrupt("dangling-current", func(dir string) {
 		os.WriteFile(filepath.Join(dir, currentFile), []byte("gen-0\n"), 0o644)
 	})
