@@ -1,7 +1,7 @@
 # BENCH_JSON is where `make bench` drops its machine-readable results;
 # CI uploads it as an artifact so the perf trajectory is recorded per PR.
 # BENCH_BASELINE is what `make bench-compare` diffs against.
-BENCH_JSON ?= BENCH_PR19.json
+BENCH_JSON ?= BENCH_PR21.json
 BENCH_BASELINE ?= BENCH_PR10.json
 
 .PHONY: build test race crash replication-crash cover hypo hypo-full bench bench-compare
@@ -65,6 +65,8 @@ hypo-full:
 # reports records/s at -cpu 1,2: replay applies on every core, so both
 # the single-core and the parallel figure are on record; its SiteKeys
 # twin replays the same log with forecast-shaped 26-28 byte keys.
+# ApplyReplicated decodes and applies one shipped 256-record batch at
+# forecast's shape, as a duplicate (re-sent) and as a fresh batch.
 # ShardCoreCodec encodes and decodes one 256-stream catch-up chunk, the
 # document shard files and snapshot chunks share. Every other gated
 # set — PredictionLatency, the write paths (ServiceObserve,
@@ -86,6 +88,7 @@ bench:
 	go test -run '^$$' -bench 'ServiceForecast|ServiceProfile|ServiceReadWhileIngest|ServerForecast|FollowerForecast' -cpu 1,4 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'RecoverWAL' -cpu 1,2 -benchtime=5x -count=3 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'ShardCoreCodec' -cpu 1 -count=3 -benchmem ./qbets/ >> $$out; \
+	go test -run '^$$' -bench 'ApplyReplicated' -cpu 1 -count=3 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'ShipThroughput' -cpu 1 -count=3 -benchmem ./internal/repl/ >> $$out; \
 	go test -run '^$$' -bench 'SnapshotCatchup' -benchtime=20x -benchmem ./internal/repl/ >> $$out; \
 	go test -run '^$$' -bench 'BMBPCodec' -cpu 1 -count=3 -benchmem ./internal/core/ >> $$out; \

@@ -9,9 +9,11 @@ import (
 )
 
 // batchCache is the frame-once/ship-many core of the leader: every
-// follower session at the same log cursor shares one immutable,
-// pre-encoded frame buffer, so the WAL tail read, EncodeFrames, and the
-// per-record CRCs run once per batch regardless of follower count.
+// follower session at the same log cursor shares one immutable frame
+// buffer, so the WAL tail read and its per-frame CRC checks run once per
+// batch regardless of follower count. The buffer holds the log's own
+// frames, copied as the tail reader validated them: no key is decoded
+// and no frame re-encoded on the leader.
 //
 // An entry's identity is the (afterSeq, uptoSeq) pair it was produced
 // for: afterSeq is the cursor it extends and uptoSeq the durability
@@ -44,7 +46,6 @@ type batchCache struct {
 	bytes   int
 
 	readers map[uint64]*wal.TailReader // pooled readers keyed by cursor
-	recs    []wal.Record               // tail-read scratch; never retained
 
 	maxEntries int
 	maxBytes   int
@@ -60,7 +61,7 @@ type cachedBatch struct {
 	prevSeq uint64 // cursor this batch extends
 	lastSeq uint64 // highest sequence framed
 	uptoSeq uint64 // durability watermark at build time
-	frames  []byte // EncodeFrames output; immutable once published
+	frames  []byte // the log's frames for (prevSeq, lastSeq]; immutable once published
 	count   int
 
 	// refs and evicted are guarded by batchCache.mu. The buffer is
@@ -122,32 +123,32 @@ func (c *batchCache) get(afterSeq, uptoSeq uint64, max int) (e *cachedBatch, gap
 	} else {
 		r = c.w.OpenTail(afterSeq)
 	}
-	recs, gap, rerr := r.ReadInto(c.recs[:0], limit, max)
-	c.recs = recs
-	if rerr == nil && !gap && len(recs) == 0 && r.AfterSeq() < limit {
+	var buf []byte
+	if p, ok := c.bufs.Get().(*[]byte); ok {
+		buf = (*p)[:0]
+	}
+	frames, n, gap, rerr := r.ReadFrames(buf, limit, max)
+	if rerr == nil && !gap && n == 0 && r.AfterSeq() < limit {
 		// Durable records the cursor needs are not readable from the log —
 		// compacted away before this cursor got them (the tail reader
 		// itself only notices once a later frame appears).
 		gap = true
 	}
-	if rerr != nil || gap {
-		r.Close()
-		return nil, gap, rerr
-	}
-	if len(recs) == 0 {
+	if rerr != nil || gap || n == 0 {
+		c.putBuf(frames)
+		if rerr != nil || gap {
+			r.Close()
+			return nil, gap, rerr
+		}
 		c.stashReader(afterSeq, r)
 		return nil, false, nil
 	}
-	var buf []byte
-	if p, ok := c.bufs.Get().(*[]byte); ok {
-		buf = (*p)[:0]
-	}
 	e = &cachedBatch{
 		prevSeq: afterSeq,
-		lastSeq: recs[len(recs)-1].Seq,
+		lastSeq: r.AfterSeq(),
 		uptoSeq: limit,
-		frames:  wal.EncodeFrames(buf, recs),
-		count:   len(recs),
+		frames:  frames,
+		count:   n,
 		refs:    1,
 	}
 	c.entries[afterSeq] = e
@@ -175,9 +176,15 @@ func (c *batchCache) release(e *cachedBatch) {
 }
 
 func (c *batchCache) recycle(e *cachedBatch) {
-	buf := e.frames[:0]
+	c.putBuf(e.frames)
 	e.frames = nil
-	c.bufs.Put(&buf)
+}
+
+func (c *batchCache) putBuf(b []byte) {
+	if cap(b) > 0 {
+		b = b[:0]
+		c.bufs.Put(&b)
+	}
 }
 
 func (c *batchCache) evictLocked() {

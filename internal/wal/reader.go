@@ -14,8 +14,8 @@ import (
 // to read committed records back out of a live log. The writer half
 // (wal.go) appends and syncs; a TailReader follows behind, returning only
 // records at or below the durability watermark, so a leader never ships a
-// record it has not acked durable. Frames on the wire reuse the exact
-// on-disk encoding (EncodeFrames/FrameDecoder), CRC and all.
+// record it has not acked durable. Frames on the wire are the log's own
+// bytes (TailReader.ReadFrames), CRC and all; FrameDecoder reads them.
 
 // SyncedSeq returns the durability watermark: every sequence number at or
 // below it has been flushed and fsynced by a successful sync. It is safe
@@ -65,56 +65,35 @@ func (w *WAL) SyncProbeInterval() time.Duration {
 	return 0
 }
 
-// EncodeFrames appends the CRC-framed on-disk encoding of recs to buf and
-// returns the extended slice. It is the wire format for shipped batches:
-// a follower replays exactly the bytes the leader's log holds. Keys must
-// respect MaxKeyLen (records read back out of a log always do).
-func EncodeFrames(buf []byte, recs []Record) []byte {
-	for _, r := range recs {
-		buf = appendRecord(buf, r)
-	}
-	return buf
-}
-
-// maxInternedKeys bounds a keyIntern table. Stream-key working sets are
-// usually small next to record counts; a table that fills keeps the keys
-// it holds and stops inserting, so a working set larger than the bound
-// still hits on its first maxInternedKeys keys and the rest cost one
-// string each, instead of the whole table being rebuilt every
-// maxInternedKeys misses.
-const maxInternedKeys = 4096
-
 // keyIntern deduplicates record key strings across decoded frames. The
 // lookup uses Go's map[string]T special case for string([]byte) keys, so
 // a hit allocates nothing: steady-state decoding of a stream's records
 // reuses one shared string per distinct key instead of allocating per
-// record. unbounded lifts maxInternedKeys for a table whose owner is
-// short-lived and already holds every key it decodes (one Replay call).
-type keyIntern struct {
-	m         map[string]string
-	unbounded bool
-}
+// record. The table has no bound of its own: each key it holds names a
+// stream its owner keeps (one Replay call's recovered streams, or the
+// streams a follower creates from one session's batches), so the
+// owner's stream registry already bounds it.
+type keyIntern map[string]string
 
 func (ki *keyIntern) get(b []byte) string {
-	if s, ok := ki.m[string(b)]; ok {
+	if s, ok := (*ki)[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if ki.m == nil {
-		ki.m = make(map[string]string, 64)
+	if *ki == nil {
+		*ki = make(keyIntern, 64)
 	}
-	if ki.unbounded || len(ki.m) < maxInternedKeys {
-		ki.m[s] = s
-	}
+	(*ki)[s] = s
 	return s
 }
 
 // FrameDecoder decodes shipped batches (buffers of complete frames) back
 // into records, with cross-call reuse: the record slice is recycled and
-// key strings are interned, so the follower apply path's decode cost is
-// flat per record regardless of batch count. The returned slice (and its backing array) is only valid until the next
-// Decode call; callers may copy Record values out but must not retain the
-// slice. Not safe for concurrent use — one decoder per connection.
+// key strings are interned, so a record whose key the decoder has seen
+// before costs no allocation. The returned slice (and its backing array)
+// is only valid until the next Decode call; callers may copy Record
+// values out but must not retain the slice. Not safe for concurrent use —
+// one decoder per connection.
 type FrameDecoder struct {
 	ki   keyIntern
 	recs []Record
@@ -144,38 +123,48 @@ func (d *FrameDecoder) Decode(b []byte) ([]Record, error) {
 // recoverable prefix).
 var errShortFrame = fmt.Errorf("wal: short frame")
 
-// decodeFrame decodes one frame from the front of b, returning the record
-// and the full frame size. It is the package's one frame decoder: Replay
-// runs it in place over its read buffer, FrameDecoder over shipped
-// batches and TailReader over segment bytes. ki interns the key string
-// instead of allocating one per record.
-func decodeFrame(b []byte, ki *keyIntern) (Record, int, error) {
-	var r Record
+// checkFrame validates the frame at the front of b, returning its payload
+// and the full frame size. It is the package's one frame validator:
+// decodeFrame builds on it, and TailReader ships the frames it passes
+// byte for byte.
+func checkFrame(b []byte) (payload []byte, n int, err error) {
 	if len(b) < frameHeaderLen {
-		return r, 0, errShortFrame
+		return nil, 0, errShortFrame
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(b[:4]))
 	crc := binary.LittleEndian.Uint32(b[4:8])
 	if payloadLen < recordFixedLen || payloadLen > recordFixedLen+MaxKeyLen {
-		return r, 0, fmt.Errorf("%w: payload length %d", errCorrupt, payloadLen)
+		return nil, 0, fmt.Errorf("%w: payload length %d", errCorrupt, payloadLen)
 	}
-	n := frameHeaderLen + payloadLen
+	n = frameHeaderLen + payloadLen
 	if len(b) < n {
-		return r, 0, errShortFrame
+		return nil, 0, errShortFrame
 	}
-	payload := b[frameHeaderLen:n]
+	payload = b[frameHeaderLen:n]
 	if crc32.Checksum(payload, castagnoli) != crc {
-		return r, 0, fmt.Errorf("%w: checksum mismatch", errCorrupt)
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", errCorrupt)
 	}
-	keyLen := int(binary.LittleEndian.Uint16(payload[24:26]))
-	if recordFixedLen+keyLen != payloadLen {
-		return r, 0, fmt.Errorf("%w: key length %d disagrees with payload length %d", errCorrupt, keyLen, payloadLen)
+	if keyLen := int(binary.LittleEndian.Uint16(payload[24:26])); recordFixedLen+keyLen != payloadLen {
+		return nil, 0, fmt.Errorf("%w: key length %d disagrees with payload length %d", errCorrupt, keyLen, payloadLen)
 	}
-	r.Seq = binary.LittleEndian.Uint64(payload[0:8])
-	r.UnixNanos = int64(binary.LittleEndian.Uint64(payload[8:16]))
-	r.Wait = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24]))
-	r.Key = ki.get(payload[26 : 26+keyLen])
-	return r, n, nil
+	return payload, n, nil
+}
+
+// decodeFrame decodes one frame from the front of b, returning the record
+// and the full frame size. Replay runs it in place over its read buffer
+// and FrameDecoder over shipped batches. ki interns the key string
+// instead of allocating one per record.
+func decodeFrame(b []byte, ki *keyIntern) (Record, int, error) {
+	payload, n, err := checkFrame(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return Record{
+		Seq:       binary.LittleEndian.Uint64(payload[0:8]),
+		UnixNanos: int64(binary.LittleEndian.Uint64(payload[8:16])),
+		Wait:      math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24])),
+		Key:       ki.get(payload[recordFixedLen:]),
+	}, n, nil
 }
 
 // TailReader reads committed records back out of a live WAL directory, in
@@ -199,7 +188,6 @@ type TailReader struct {
 	buf      []byte        // bytes read from seg but not yet consumed
 	sawMagic bool          // seg's header has been validated
 	sawFirst bool          // head-of-log gap check has run
-	ki       keyIntern     // shared key strings across reads
 }
 
 // OpenTail returns a reader positioned after afterSeq: the first call to
@@ -231,32 +219,30 @@ func (t *TailReader) closeSeg() {
 	t.sawMagic = false
 }
 
-// Read returns up to max records with afterSeq < seq <= uptoSeq, advancing
-// the cursor past them. Callers pass the WAL's SyncedSeq as uptoSeq so
-// only acked-durable records ship. An empty result with nil error means
-// nothing new is committed yet — wait and call again.
+// ReadFrames appends to dst[:0] the frames of up to max records with
+// afterSeq < seq <= uptoSeq, byte for byte as the log holds them, and
+// advances the cursor past them: n counts the frames, and AfterSeq then
+// reports the last one's sequence. The frames are the wire format for
+// shipped batches, so a follower decodes exactly the bytes the leader's
+// log holds, CRC and all, and the leader never decodes a key. Callers
+// pass the WAL's SyncedSeq as uptoSeq so only acked-durable records ship.
+// An empty result with nil error means nothing new is committed yet —
+// wait and call again.
 //
 // gap=true means the log can no longer supply the records the cursor
 // needs: compaction removed segments past the cursor (a new or lagging
 // follower outrun by snapshot+truncate). The reader is then exhausted;
 // the caller must fall back to a snapshot and open a fresh tail.
-func (t *TailReader) Read(uptoSeq uint64, max int) (recs []Record, gap bool, err error) {
-	return t.ReadInto(nil, uptoSeq, max)
-}
-
-// ReadInto is Read with a caller-supplied destination slice: records are
-// appended to dst[:0], so a shipper that frames and forgets each batch
-// pays no per-batch slice allocation.
-func (t *TailReader) ReadInto(dst []Record, uptoSeq uint64, max int) (recs []Record, gap bool, err error) {
-	recs = dst[:0]
+func (t *TailReader) ReadFrames(dst []byte, uptoSeq uint64, max int) (frames []byte, n int, gap bool, err error) {
+	frames = dst[:0]
 	if max <= 0 || uptoSeq <= t.afterSeq {
-		return recs, false, nil
+		return frames, 0, false, nil
 	}
 	for {
 		if t.rc == nil {
 			ok, gap, err := t.openNext()
 			if !ok || gap || err != nil {
-				return recs, gap, err
+				return frames, n, gap, err
 			}
 		}
 		// Pull everything the segment currently holds past our position.
@@ -267,7 +253,7 @@ func (t *TailReader) ReadInto(dst []Record, uptoSeq uint64, max int) (recs []Rec
 			// segment or a crash; either way the unshipped remainder is no
 			// longer reachable from the log.
 			t.closeSeg()
-			return recs, true, nil
+			return frames, n, true, nil
 		}
 		if !t.sawMagic {
 			if len(t.buf) < len(segMagic) || string(t.buf[:len(segMagic)]) != segMagic {
@@ -275,7 +261,7 @@ func (t *TailReader) ReadInto(dst []Record, uptoSeq uint64, max int) (recs []Rec
 				// live head, otherwise skipped exactly as Replay drops a
 				// headerless segment.
 				if !t.advancePastSegment() {
-					return recs, false, nil
+					return frames, n, false, nil
 				}
 				continue
 			}
@@ -283,36 +269,38 @@ func (t *TailReader) ReadInto(dst []Record, uptoSeq uint64, max int) (recs []Rec
 			t.sawMagic = true
 		}
 		for {
-			rec, n, derr := decodeFrame(t.buf, &t.ki)
+			payload, size, derr := checkFrame(t.buf)
 			if derr != nil {
 				// Incomplete or invalid frame: live tail not yet flushed, or
 				// a torn tail on a rotated-away segment (skip it — Replay
 				// truncates the same bytes, and the watermark never covers a
 				// frame whose sync failed).
 				if !t.advancePastSegment() {
-					return recs, false, nil
+					return frames, n, false, nil
 				}
 				break
 			}
+			seq := binary.LittleEndian.Uint64(payload[0:8])
 			if !t.sawFirst {
 				t.sawFirst = true
-				if rec.Seq > t.afterSeq+1 {
+				if seq > t.afterSeq+1 {
 					// The retained log starts past the cursor: compaction
 					// already removed records the caller still needs.
-					return recs, true, nil
+					return frames, n, true, nil
 				}
 			}
-			if rec.Seq > uptoSeq {
+			if seq > uptoSeq {
 				// Beyond the durability watermark: leave the frame buffered
 				// for the next call.
-				return recs, false, nil
+				return frames, n, false, nil
 			}
-			t.buf = t.buf[n:]
-			if rec.Seq > t.afterSeq {
-				t.afterSeq = rec.Seq
-				recs = append(recs, rec)
-				if len(recs) >= max {
-					return recs, false, nil
+			frame := t.buf[:size]
+			t.buf = t.buf[size:]
+			if seq > t.afterSeq {
+				t.afterSeq = seq
+				frames = append(frames, frame...)
+				if n++; n >= max {
+					return frames, n, false, nil
 				}
 			}
 		}

@@ -20,6 +20,35 @@ func mustOpenReplayed(t *testing.T, fs FS, opt Options) *WAL {
 	return w
 }
 
+// encodeFrames appends the framed encoding of recs to buf: a shipped
+// batch as TailReader.ReadFrames returns it.
+func encodeFrames(buf []byte, recs []Record) []byte {
+	for _, r := range recs {
+		buf = appendRecord(buf, r)
+	}
+	return buf
+}
+
+// readRecs is ReadFrames followed by a FrameDecoder, for tests that check
+// records rather than bytes. It also checks that the frame count agrees
+// with the records decoded and that the cursor sits on the last one.
+func readRecs(t *testing.T, tr *TailReader, uptoSeq uint64, max int) ([]Record, bool, error) {
+	t.Helper()
+	frames, n, gap, err := tr.ReadFrames(nil, uptoSeq, max)
+	var d FrameDecoder
+	recs, derr := d.Decode(frames)
+	if derr != nil {
+		t.Fatalf("tail frames do not decode: %v", derr)
+	}
+	if len(recs) != n {
+		t.Fatalf("ReadFrames reported %d frames, decoded %d", n, len(recs))
+	}
+	if n > 0 && recs[n-1].Seq != tr.AfterSeq() {
+		t.Fatalf("cursor at %d, last frame is seq %d", tr.AfterSeq(), recs[n-1].Seq)
+	}
+	return recs, gap, err
+}
+
 func TestTailReaderStreamsCommittedRecords(t *testing.T) {
 	fs := NewMemFS()
 	w := mustOpenReplayed(t, fs, Options{Mode: SyncEachRecord})
@@ -32,7 +61,7 @@ func TestTailReaderStreamsCommittedRecords(t *testing.T) {
 	defer tr.Close()
 	var got []Record
 	for {
-		recs, gap, err := tr.Read(w.SyncedSeq(), 7)
+		recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 7)
 		if err != nil || gap {
 			t.Fatalf("read: gap=%v err=%v", gap, err)
 		}
@@ -54,7 +83,7 @@ func TestTailReaderStreamsCommittedRecords(t *testing.T) {
 	if _, err := appendOne(w, "late", 9, 9); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	recs, gap, err := tr.Read(w.SyncedSeq(), 10)
+	recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 10)
 	if err != nil || gap || len(recs) != 1 || recs[0].Key != "late" {
 		t.Fatalf("live tail read: recs=%v gap=%v err=%v", recs, gap, err)
 	}
@@ -74,13 +103,13 @@ func TestTailReaderHonorsWatermark(t *testing.T) {
 	tr := w.OpenTail(0)
 	defer tr.Close()
 	// Nothing synced yet: the watermark is 0 and nothing may ship.
-	if recs, gap, err := tr.Read(w.SyncedSeq(), 100); len(recs) != 0 || gap || err != nil {
+	if recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 100); len(recs) != 0 || gap || err != nil {
 		t.Fatalf("unsynced read: recs=%v gap=%v err=%v", recs, gap, err)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	recs, gap, err := tr.Read(w.SyncedSeq(), 100)
+	recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 100)
 	if err != nil || gap || len(recs) != 5 {
 		t.Fatalf("post-sync read: %d recs, gap=%v err=%v", len(recs), gap, err)
 	}
@@ -98,7 +127,7 @@ func TestTailReaderResumesAcrossRotation(t *testing.T) {
 	defer tr.Close()
 	var n int
 	for {
-		recs, gap, err := tr.Read(w.SyncedSeq(), 3)
+		recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 3)
 		if err != nil || gap {
 			t.Fatalf("read: gap=%v err=%v", gap, err)
 		}
@@ -135,14 +164,14 @@ func TestTailReaderReportsCompactionGap(t *testing.T) {
 	// starting mid-history.
 	tr := w.OpenTail(0)
 	defer tr.Close()
-	_, gap, err := tr.Read(w.SyncedSeq(), 100)
+	_, gap, err := readRecs(t, tr, w.SyncedSeq(), 100)
 	if err != nil || !gap {
 		t.Fatalf("want gap=true after compaction, got gap=%v err=%v", gap, err)
 	}
 	// A reader already past the removed prefix is unaffected.
 	tr2 := w.OpenTail(20)
 	defer tr2.Close()
-	recs, gap, err := tr2.Read(w.SyncedSeq(), 100)
+	recs, gap, err := readRecs(t, tr2, w.SyncedSeq(), 100)
 	if err != nil || gap || len(recs) != 1 || recs[0].Seq != 21 {
 		t.Fatalf("post-compaction tail: recs=%v gap=%v err=%v", recs, gap, err)
 	}
@@ -171,7 +200,7 @@ func TestTailReaderSkipsTornTailLikeReplay(t *testing.T) {
 	defer tr.Close()
 	var got []Record
 	for {
-		recs, gap, err := tr.Read(w.SyncedSeq(), 100)
+		recs, gap, err := readRecs(t, tr, w.SyncedSeq(), 100)
 		if err != nil || gap {
 			t.Fatalf("read: gap=%v err=%v", gap, err)
 		}
@@ -194,7 +223,7 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 		{Seq: 7, Key: "", Wait: 0, UnixNanos: -3},
 		{Seq: 9, Key: "üñï", Wait: 1e300, UnixNanos: 42},
 	}
-	buf := EncodeFrames(nil, recs)
+	buf := encodeFrames(nil, recs)
 	var d FrameDecoder
 	got, err := d.Decode(buf)
 	if err != nil {
@@ -223,7 +252,7 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 
 func TestFrameDecoderReuse(t *testing.T) {
 	var d FrameDecoder
-	first, err := d.Decode(EncodeFrames(nil, []Record{
+	first, err := d.Decode(encodeFrames(nil, []Record{
 		{Seq: 1, Key: "q/1", Wait: 1},
 		{Seq: 2, Key: "q/2", Wait: 2},
 	}))
@@ -236,7 +265,7 @@ func TestFrameDecoderReuse(t *testing.T) {
 		{Seq: 4, Key: "q/3", Wait: 4, UnixNanos: 40},
 		{Seq: 5, Key: "q/1", Wait: 5, UnixNanos: 50},
 	}
-	got, err := d.Decode(EncodeFrames(nil, want))
+	got, err := d.Decode(encodeFrames(nil, want))
 	if err != nil {
 		t.Fatalf("second decode: %v", err)
 	}
@@ -256,42 +285,33 @@ func TestFrameDecoderReuse(t *testing.T) {
 	}
 }
 
-// TestKeyInternFullTableKeepsItsKeys pins the intern table's behaviour
-// past maxInternedKeys: with more live keys than the bound (a 10,000-
-// stream log read by a follower's decoder), a full table keeps the keys
-// it holds and stops inserting, rather than dropping everything and
-// churning. Replay's table, which lives for one call, has no bound.
-func TestKeyInternFullTableKeepsItsKeys(t *testing.T) {
-	const distinct = 5000
-	key := func(i int) []byte { return []byte(fmt.Sprintf("site%04d.machine/queue/1-4", i)) }
-	var ki keyIntern
-	var first string
-	for i := 0; i < distinct; i++ {
-		s := ki.get(key(i))
-		if i == 0 {
-			first = s
+// TestFrameDecoderRepeatKeysDoNotAllocate pins the intern table's one
+// rule: every key it has decoded stays interned, however many there are,
+// so a follower at forecast's scale (10,000 streams) decodes a batch of
+// keys it has seen before without allocating.
+func TestFrameDecoderRepeatKeysDoNotAllocate(t *testing.T) {
+	const distinct = 10000
+	recs := make([]Record, distinct)
+	for i := range recs {
+		recs[i] = Record{Seq: uint64(i + 1), Key: fmt.Sprintf("site%04d.machine/queue/1-4", i), Wait: float64(i)}
+	}
+	frames := encodeFrames(nil, recs)
+	var d FrameDecoder
+	first, err := d.Decode(frames)
+	if err != nil {
+		t.Fatalf("first decode: %v", err)
+	}
+	key := first[distinct-1].Key
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := d.Decode(frames); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Fatalf("decoding %d seen keys again costs %g allocations, want 0", distinct, allocs)
 	}
-	if len(ki.m) > maxInternedKeys {
-		t.Fatalf("table holds %d keys, bound is %d", len(ki.m), maxInternedKeys)
-	}
-	b := key(0)
-	if allocs := testing.AllocsPerRun(100, func() { ki.get(b) }); allocs != 0 {
-		t.Fatalf("first key allocates %g times per lookup after %d distinct keys, want a hit", allocs, distinct)
-	}
-	if unsafe.StringData(ki.get(b)) != unsafe.StringData(first) {
-		t.Fatalf("first key no longer shares its interned string")
-	}
-	if got := ki.get(key(distinct - 1)); got != string(key(distinct-1)) {
-		t.Fatalf("key past the bound decoded as %q", got)
-	}
-
-	replay := keyIntern{unbounded: true}
-	for i := 0; i < distinct; i++ {
-		replay.get(key(i))
-	}
-	if len(replay.m) != distinct {
-		t.Fatalf("replay table holds %d keys, want all %d", len(replay.m), distinct)
+	again, _ := d.Decode(frames)
+	if unsafe.StringData(again[distinct-1].Key) != unsafe.StringData(key) {
+		t.Fatal("last key no longer shares its interned string")
 	}
 }
 

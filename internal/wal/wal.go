@@ -323,7 +323,7 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 	}
 	// Keys interned for the whole call: a log names each stream many
 	// times, and the apply callback keeps each distinct key anyway.
-	ki := keyIntern{unbounded: true}
+	var ki keyIntern
 	for _, idx := range indices {
 		name := filepath.Join(w.dir, segName(idx))
 		f, err := w.opt.FS.Open(name)

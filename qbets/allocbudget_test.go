@@ -1,6 +1,10 @@
 package qbets
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/wal"
+)
 
 // Alloc budgets for the steady-state write plane. The benchmarks report
 // allocs/op but CI doesn't fail on them; these tests do. The budget is
@@ -60,5 +64,28 @@ func TestObserveBatchAllocBudget(t *testing.T) {
 		if perRec := avg / float64(size); perRec > writePathAllocBudget {
 			t.Fatalf("ObserveBatch size %d averaged %.3f allocs/record, budget %.1f", size, perRec, writePathAllocBudget)
 		}
+	}
+}
+
+// TestApplyReplicatedDuplicateBatchAllocs pins the follower's re-send
+// path (the BenchmarkApplyReplicated/duplicate subject): a shipped batch
+// the follower already holds decodes and applies without allocating —
+// its keys are interned, its streams resolve through the index, and the
+// grouping scratch is the service's.
+func TestApplyReplicatedDuplicateBatchAllocs(t *testing.T) {
+	frames, prev := shipBatches(t, siteKeys(1000), 2)
+	svc := NewService(true, WithSeed(1))
+	svc.SetFollower(true)
+	var dec wal.FrameDecoder
+	for j := range frames {
+		applyShipped(t, svc, &dec, frames[j], prev[j])
+	}
+	j := 0
+	avg := testing.AllocsPerRun(2*len(frames), func() {
+		applyShipped(t, svc, &dec, frames[j%len(frames)], prev[j%len(frames)])
+		j++
+	})
+	if avg != 0 {
+		t.Fatalf("a duplicate batch decoded and applied with %.2f allocs, want 0", avg)
 	}
 }

@@ -16,18 +16,35 @@ import (
 //
 //	go test -run '^$' -bench 'ServiceForecast|ReadWhileIngest|ServerForecast' -cpu 1,4 -benchmem ./qbets/
 //
-// The baselines are honest reconstructions, not strawmen: the same shard
-// map and per-stream RWMutex the write path still uses, with the bound
+// The baselines are honest reconstructions, not strawmen: the registry
+// the write path used then, 64 lock-striped shard maps (rebuilt here from
+// the service's index), and the per-stream RWMutex, with the bound
 // recomputed under the read lock — exactly how Forecast answered before
 // snapshots were published.
+
+// rwmutexRegistry is the pre-snapshot registry: stream keys hashed over
+// 64 shards, each map behind its own RWMutex.
+type rwmutexRegistry [64]struct {
+	mu sync.RWMutex
+	m  map[string]*stream
+}
+
+func newRWMutexRegistry(s *Service) *rwmutexRegistry {
+	r := new(rwmutexRegistry)
+	for i := range r {
+		r[i].m = make(map[string]*stream)
+	}
+	s.index.Load().forEach(func(k string, st *stream) { r[keyHash(k)%uint32(len(r))].m[k] = st })
+	return r
+}
 
 // forecastRWMutexBaseline reproduces the pre-snapshot read path: build the
 // stream key (a concat in by-procs mode), walk the shard under its RLock,
 // then compute the bound under the stream RLock — sharing cache lines and
 // lock words with writers.
-func (s *Service) forecastRWMutexBaseline(queue string, procs int) (float64, bool) {
+func (r *rwmutexRegistry) forecastRWMutexBaseline(s *Service, queue string, procs int) (float64, bool) {
 	key := s.key(queue, procs)
-	sh := &s.shards[shardOf(key)]
+	sh := &r[keyHash(key)%uint32(len(r))]
 	sh.mu.RLock()
 	st := sh.m[key]
 	sh.mu.RUnlock()
@@ -67,11 +84,12 @@ func BenchmarkServiceForecast(b *testing.B) {
 	})
 	b.Run("rwmutex-baseline", func(b *testing.B) {
 		svc := prewarmReadService(b)
+		reg := newRWMutexRegistry(svc)
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, ok := svc.forecastRWMutexBaseline("normal", 1); !ok {
+				if _, ok := reg.forecastRWMutexBaseline(svc, "normal", 1); !ok {
 					b.Fatal("forecast not ok")
 				}
 			}
@@ -119,8 +137,9 @@ func BenchmarkServiceProfile(b *testing.B) {
 // behind every batch apply. One op = one read.
 func BenchmarkServiceReadWhileIngest(b *testing.B) {
 	const ingestBatch = 64
-	run := func(b *testing.B, read func(*Service) bool) {
+	run := func(b *testing.B, reader func(*Service) func() bool) {
 		svc := prewarmReadService(b)
+		read := reader(svc)
 		batch := make([]ObserveRecord, ingestBatch)
 		for i := range batch {
 			batch[i] = ObserveRecord{Queue: "normal", Procs: 1, WaitSeconds: float64(10 + i%1000)}
@@ -146,7 +165,7 @@ func BenchmarkServiceReadWhileIngest(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if !read(svc) {
+				if !read() {
 					b.Fatal("forecast not ok")
 				}
 			}
@@ -156,10 +175,15 @@ func BenchmarkServiceReadWhileIngest(b *testing.B) {
 		wg.Wait()
 	}
 	b.Run("lockfree", func(b *testing.B) {
-		run(b, func(svc *Service) bool { _, ok := svc.Forecast("normal", 1); return ok })
+		run(b, func(svc *Service) func() bool {
+			return func() bool { _, ok := svc.Forecast("normal", 1); return ok }
+		})
 	})
 	b.Run("rwmutex-baseline", func(b *testing.B) {
-		run(b, func(svc *Service) bool { _, ok := svc.forecastRWMutexBaseline("normal", 1); return ok })
+		run(b, func(svc *Service) func() bool {
+			reg := newRWMutexRegistry(svc)
+			return func() bool { _, ok := reg.forecastRWMutexBaseline(svc, "normal", 1); return ok }
+		})
 	})
 }
 

@@ -30,12 +30,17 @@ func BenchmarkRecoverWAL(b *testing.B) { benchRecoverWAL(b, recoverBenchKeys(100
 // like loadbench forecast's ("siteNNNN.machine/queue/label", about 30
 // bytes): a per-record key cost (hashing, copying, comparing) weighs
 // three times as much as on BenchmarkRecoverWAL's 9-byte keys.
-func BenchmarkRecoverWALSiteKeys(b *testing.B) {
-	keys := make([]string, 10000)
+func BenchmarkRecoverWALSiteKeys(b *testing.B) { benchRecoverWAL(b, siteKeys(10000)) }
+
+// siteKeys returns n stream keys shaped like loadbench forecast's
+// ("siteNNNN.machine/queue/label", 26–28 bytes), cycling the processor
+// categories.
+func siteKeys(n int) []string {
+	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("site%04d.machine/queue/%s", i/4, ProcCategory(i%4).Label())
 	}
-	benchRecoverWAL(b, keys)
+	return keys
 }
 
 func benchRecoverWAL(b *testing.B, keys []string) {

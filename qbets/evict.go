@@ -90,16 +90,11 @@ func (s *Service) EvictIdle(ttl time.Duration) int {
 	s.clock.Store(now)
 	cutoff := now - ttl.Nanoseconds()
 	var cands []evictCandidate
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, st := range sh.m {
-			if t := st.lastTouch.Load(); !st.evicted.Load() && t < cutoff {
-				cands = append(cands, evictCandidate{st, t})
-			}
+	s.index.Load().forEach(func(_ string, st *stream) {
+		if t := st.lastTouch.Load(); !st.evicted.Load() && t < cutoff {
+			cands = append(cands, evictCandidate{st, t})
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	return s.evictScanned(cands, cutoff)
 }
 
@@ -114,16 +109,11 @@ func (s *Service) EvictToCap(max int) int {
 	now := time.Now().UnixNano()
 	s.clock.Store(now)
 	var cands []evictCandidate
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, st := range sh.m {
-			if !st.evicted.Load() {
-				cands = append(cands, evictCandidate{st, st.lastTouch.Load()})
-			}
+	s.index.Load().forEach(func(_ string, st *stream) {
+		if !st.evicted.Load() {
+			cands = append(cands, evictCandidate{st, st.lastTouch.Load()})
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	slices.SortFunc(cands, func(a, b evictCandidate) int {
 		if a.touch != b.touch {
 			if a.touch < b.touch {

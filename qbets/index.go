@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// The stream index is the lock-free read plane's registry: it resolves a
+// The stream index is the service's one stream registry: it resolves a
 // stream key (or a (queue, slot) shape) to its *stream with one or two
 // atomic loads and a map probe, no locks. Through PR 5 it was a single
 // immutable map rebuilt wholesale on every stream creation — O(total
@@ -29,6 +29,10 @@ import (
 // enumeration (Queues, Stats, /v1/status) k-way merges the per-partition
 // sorted key lists at read time; each key belongs to exactly one partition
 // of a given root, so the merge yields every key exactly once, in order.
+//
+// Readers and writers resolve keys through the same lock-free probe.
+// Creation, growth and wholesale restore mutate the index under indexMu;
+// saves, catch-up snapshots and eviction passes walk it.
 const (
 	// indexInitialPartitions is the partition count an empty service
 	// starts with; must be a power of two.
@@ -164,9 +168,10 @@ func newStreamIndex(parts int) *streamIndex {
 // so a fresh seed per process is free hash-flooding resistance.
 var hashSeed = maphash.MakeSeed()
 
-// keyHash is the hash shared by shard and partition placement. It is the
-// runtime's string hash (hardware-accelerated, O(1)-ish for short keys) —
-// a byte-serial FNV here costs more than the map probe it routes.
+// keyHash is the hash shared by index partitions, state-shard placement
+// and RecoverWAL's worker choice. It is the runtime's string hash
+// (hardware-accelerated, O(1)-ish for short keys) — a byte-serial FNV
+// here costs more than the map probe it routes.
 func keyHash(s string) uint32 {
 	return uint32(maphash.String(hashSeed, s))
 }
@@ -262,29 +267,29 @@ func (idx *streamIndex) forEachOrdered(fn func(key string, st *stream) bool) {
 	}
 }
 
-// indexInsert makes one newly created stream visible to lock-free readers
-// by cloning and republishing the two partitions it hashes into. indexMu
-// serializes all index mutation, so clone-and-swap never loses a
-// concurrent insert. When the average load crosses indexMaxLoad the whole
-// index is rebuilt at a larger partition count instead — the rebuild reads
-// the shard maps, which already contain this key.
-func (s *Service) indexInsert(key string, st *stream) {
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	idx := s.index.Load()
-	if n := int(s.nStreams.Load()); n > indexMaxLoad*len(idx.keyParts) {
-		s.rebuildIndexLocked()
-		return
-	}
-	slot := keyHash(key) & idx.mask
-	old := idx.keyParts[slot].Load()
-	if old != nil {
-		if _, ok := old.byKey[key]; ok {
-			// Already indexed (a growth rebuild raced ahead of this insert
-			// and picked the key up from the shard maps).
-			return
+// forEach calls fn for every (key, stream) in no particular order: the
+// walk for passes that visit every stream once (eviction scans, growth
+// rebuilds) and need no order.
+func (idx *streamIndex) forEach(fn func(key string, st *stream)) {
+	for i := range idx.keyParts {
+		if p := idx.keyParts[i].Load(); p != nil {
+			for k, st := range p.byKey {
+				fn(k, st)
+			}
 		}
 	}
+}
+
+// indexInsertLocked makes one newly created stream visible to lock-free
+// readers by cloning and republishing the two partitions it hashes into.
+// The caller holds indexMu, which serializes all index mutation, so
+// clone-and-swap never loses a concurrent insert. When the average load
+// then crosses indexMaxLoad the whole index is rebuilt at a larger
+// partition count from the index just published.
+func (s *Service) indexInsertLocked(key string, st *stream) {
+	idx := s.index.Load()
+	slot := keyHash(key) & idx.mask
+	old := idx.keyParts[slot].Load()
 	kp := &keyPartition{}
 	if old != nil {
 		kp.byKey = maps.Clone(old.byKey)
@@ -313,22 +318,17 @@ func (s *Service) indexInsert(key string, st *stream) {
 		idx.queueParts[qslotIdx].Store(oldq.cloneInsert(queue, h, &arr))
 		s.indexRebuilds.Inc()
 	}
-}
-
-// republishIndex rebuilds the whole index from the shard maps (wholesale
-// restore, growth). O(n) — paid once per restore and amortized O(1) per
-// create across growths.
-func (s *Service) republishIndex() {
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	s.rebuildIndexLocked()
+	if int(s.nStreams.Load()) > indexMaxLoad*len(idx.keyParts) {
+		s.rebuildIndexLocked(idx.forEach)
+	}
 }
 
 // rebuildIndexLocked builds and publishes a fresh root sized for the
-// current stream count. Caller holds indexMu; shard maps are read under
-// their own RLocks, so this runs concurrently with ingest on existing
-// streams.
-func (s *Service) rebuildIndexLocked() {
+// current stream count, holding the streams each yields: the current
+// index's on growth, a restored set in replaceStreams. Caller holds
+// indexMu. O(n) — paid once per restore and amortized O(1) per create
+// across growths.
+func (s *Service) rebuildIndexLocked(each func(fn func(key string, st *stream))) {
 	n := int(s.nStreams.Load())
 	parts := indexInitialPartitions
 	for parts*indexGrowthLoad < n {
@@ -340,41 +340,36 @@ func (s *Service) rebuildIndexLocked() {
 	// probe tables at the end; key partitions are built in place (the root
 	// is unpublished, so direct mutation is safe) and sorted once.
 	tmpQ := make([]map[string]*[cacheSlotWhole + 1]*stream, parts)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, st := range sh.m {
-			slot := keyHash(k) & idx.mask
-			kp := idx.keyParts[slot].Load()
-			if kp == nil {
-				kp = &keyPartition{byKey: make(map[string]*stream)}
-				idx.keyParts[slot].Store(kp)
-			}
-			kp.byKey[k] = st
-			kp.keys = append(kp.keys, k)
-			queue, qslot, ok := splitKey(k, byProcs)
-			if !ok {
-				// A key that does not parse under the current routing mode
-				// (e.g. restored from a blob written in the other mode) is
-				// unreachable through the (queue, procs) APIs but stays
-				// listed in Queues/Stats via the key partitions.
-				continue
-			}
-			qslotIdx := keyHash(queue) & idx.mask
-			m := tmpQ[qslotIdx]
-			if m == nil {
-				m = make(map[string]*[cacheSlotWhole + 1]*stream)
-				tmpQ[qslotIdx] = m
-			}
-			arr := m[queue]
-			if arr == nil {
-				arr = new([cacheSlotWhole + 1]*stream)
-				m[queue] = arr
-			}
-			arr[qslot] = st
+	each(func(k string, st *stream) {
+		slot := keyHash(k) & idx.mask
+		kp := idx.keyParts[slot].Load()
+		if kp == nil {
+			kp = &keyPartition{byKey: make(map[string]*stream)}
+			idx.keyParts[slot].Store(kp)
 		}
-		sh.mu.RUnlock()
-	}
+		kp.byKey[k] = st
+		kp.keys = append(kp.keys, k)
+		queue, qslot, ok := splitKey(k, byProcs)
+		if !ok {
+			// A key that does not parse under the current routing mode
+			// (e.g. restored from a blob written in the other mode) is
+			// unreachable through the (queue, procs) APIs but stays
+			// listed in Queues/Stats via the key partitions.
+			return
+		}
+		qslotIdx := keyHash(queue) & idx.mask
+		m := tmpQ[qslotIdx]
+		if m == nil {
+			m = make(map[string]*[cacheSlotWhole + 1]*stream)
+			tmpQ[qslotIdx] = m
+		}
+		arr := m[queue]
+		if arr == nil {
+			arr = new([cacheSlotWhole + 1]*stream)
+			m[queue] = arr
+		}
+		arr[qslot] = st
+	})
 	for i := range idx.keyParts {
 		if p := idx.keyParts[i].Load(); p != nil {
 			slices.Sort(p.keys)

@@ -11,15 +11,19 @@ import (
 // TestIndexChurnCoherence hammers stream creation across partitions while
 // readers enumerate, asserting the enumeration invariants the k-way merge
 // promises: ascending key order, no duplicates, and — once the dust
-// settles — every created key present exactly once. Run under -race this
-// also checks the copy-on-write publication discipline.
+// settles — every created key present exactly once. Every key is raced by
+// two creators, and the key count crosses the first growth rebuild, so
+// the registry must hand both creators one pointer-equal *stream and
+// count each key once, across the rebuild too. Run under -race this also
+// checks the copy-on-write publication discipline.
 func TestIndexChurnCoherence(t *testing.T) {
 	svc := NewService(false, WithSeed(7))
 	const creators = 8
-	perCreator := 400
+	distinct := indexMaxLoad*indexInitialPartitions + 512 // just past the first growth
 	if testing.Short() {
-		perCreator = 100
+		distinct = 3200
 	}
+	key := func(i int) string { return fmt.Sprintf("q%06d", i) }
 
 	var creatorsWG, readersWG sync.WaitGroup
 	stopReaders := make(chan struct{})
@@ -50,22 +54,26 @@ func TestIndexChurnCoherence(t *testing.T) {
 			}
 		}()
 	}
+	// Creator c takes the keys i with i%creators in {c, c+1}, so each key
+	// has two creators; they walk in the same direction and race for it.
+	got := make([][]*stream, creators)
 	for c := 0; c < creators; c++ {
+		got[c] = make([]*stream, distinct)
 		creatorsWG.Add(1)
 		go func(c int) {
 			defer creatorsWG.Done()
-			for i := 0; i < perCreator; i++ {
-				q := fmt.Sprintf("c%d-q%05d", c, i)
-				if err := svc.Observe(q, 1, float64(i%100)); err != nil {
-					t.Errorf("observe %s: %v", q, err)
-					return
+			for i := 0; i < distinct; i++ {
+				if m := i % creators; m != c && m != (c+1)%creators {
+					continue
 				}
+				st := svc.getOrCreate(key(i))
 				// A created stream must be immediately resolvable through
 				// the published index.
-				if n := svc.Observations(q, 1); n < 1 {
-					t.Errorf("stream %s invisible right after creation", q)
+				if svc.lookup(key(i)) != st {
+					t.Errorf("stream %s not resolvable to its creator's pointer right after creation", key(i))
 					return
 				}
+				got[c][i] = st
 			}
 		}(c)
 	}
@@ -74,30 +82,34 @@ func TestIndexChurnCoherence(t *testing.T) {
 	creatorsWG.Wait()
 	close(stopReaders)
 	readersWG.Wait()
+	if t.Failed() {
+		return
+	}
 
-	want := creators * perCreator
-	if got := svc.NumStreams(); got != want {
-		t.Fatalf("NumStreams = %d, want %d", got, want)
+	if got := svc.NumStreams(); got != distinct {
+		t.Fatalf("NumStreams = %d, want %d distinct keys", got, distinct)
+	}
+	if !testing.Short() && len(svc.index.Load().keyParts) <= indexInitialPartitions {
+		t.Fatalf("index did not grow: %d partitions with %d streams", len(svc.index.Load().keyParts), distinct)
+	}
+	for i := 0; i < distinct; i++ {
+		st := svc.lookup(key(i))
+		for _, c := range []int{i % creators, (i%creators + creators - 1) % creators} {
+			if got[c][i] != st || st == nil {
+				t.Fatalf("key %q: creator %d holds %p, the index %p", key(i), c, got[c][i], st)
+			}
+		}
 	}
 	qs := svc.Queues()
-	if len(qs) != want {
-		t.Fatalf("Queues() returned %d keys, want %d", len(qs), want)
+	if len(qs) != distinct {
+		t.Fatalf("Queues() returned %d keys, want %d", len(qs), distinct)
 	}
 	if !sort.StringsAreSorted(qs) {
 		t.Fatal("final Queues() not sorted")
 	}
-	seen := make(map[string]bool, len(qs))
-	for _, q := range qs {
-		if seen[q] {
-			t.Fatalf("duplicate key %q in enumeration", q)
-		}
-		seen[q] = true
-	}
-	for c := 0; c < creators; c++ {
-		for i := 0; i < perCreator; i++ {
-			if q := fmt.Sprintf("c%d-q%05d", c, i); !seen[q] {
-				t.Fatalf("key %q lost from index", q)
-			}
+	for i, q := range qs {
+		if q != key(i) {
+			t.Fatalf("Queues()[%d] = %q, want %q", i, q, key(i))
 		}
 	}
 }

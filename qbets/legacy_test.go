@@ -19,7 +19,7 @@ func encodeLegacy(s *Service) ([]byte, error) {
 		Streams    map[string][]byte `json:"streams"`
 		StreamSeqs map[string]uint64 `json:"stream_seqs,omitempty"`
 	}
-	streams := s.snapshotStreams()
+	streams := streamsOf(s)
 	blob := serviceBlob{
 		ByProcs:    s.byProcs.Load(),
 		NextSeed:   s.nextSeed.Load(),

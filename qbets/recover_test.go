@@ -51,12 +51,20 @@ type streamDigest struct {
 	observations int
 }
 
+// streamsOf returns the service's current stream set, walked from its
+// index.
+func streamsOf(s *Service) map[string]*stream {
+	out := make(map[string]*stream)
+	s.index.Load().forEach(func(k string, st *stream) { out[k] = st })
+	return out
+}
+
 // digestService captures every stream's digest plus the service-level
 // seed counter (stream creation order shows up there and in each state).
 func digestService(t *testing.T, s *Service) (map[string]streamDigest, int64) {
 	t.Helper()
 	out := make(map[string]streamDigest)
-	for k, st := range s.snapshotStreams() {
+	for k, st := range streamsOf(s) {
 		st.mu.RLock()
 		d := streamDigest{lastSeq: st.lastSeq}
 		if st.fc != nil {

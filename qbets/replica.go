@@ -83,7 +83,9 @@ func (s *Service) SyncProbeInterval() time.Duration {
 // the applied prefix) is refused with ErrReplicaGap, a batch from the
 // past re-applies as a no-op through the per-stream dedup. The batch is
 // grouped and applied exactly as one WAL-recovery worker batch is, so
-// quotes are not scored — this process never made them.
+// quotes are not scored — this process never made them. Calls are
+// serialized and reuse the service's grouping scratch, so a batch whose
+// streams all exist allocates nothing beyond history growth.
 func (s *Service) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	if !s.follower.Load() {
 		return fmt.Errorf("qbets: ApplyReplicated on a non-follower")
@@ -91,16 +93,20 @@ func (s *Service) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	s.replMu.Lock()
+	defer s.replMu.Unlock()
 	applied := s.replApplied.Load()
 	if prevSeq > applied {
 		return fmt.Errorf("%w: batch extends seq %d but only %d is applied", ErrReplicaGap, prevSeq, applied)
 	}
-	batch := make([]replayRecord, len(recs))
-	for i, r := range recs {
-		batch[i] = replayRecord{st: s.getOrCreate(r.Key), wait: r.Wait, seq: r.Seq}
+	batch := s.replBatch[:0]
+	for _, r := range recs {
+		batch = append(batch, replayRecord{st: s.getOrCreate(r.Key), wait: r.Wait, seq: r.Seq})
 	}
-	sc := replayScratch{group: make(map[*stream]int32)}
-	if err := sc.apply(s, batch); err != nil {
+	err := s.replSc.apply(s, batch)
+	clear(batch)
+	s.replBatch = batch[:0]
+	if err != nil {
 		// The applied prefix does not advance: the session re-sends the
 		// batch, and the streams that did apply skip it by lastSeq.
 		return err
@@ -129,18 +135,18 @@ func (s *Service) ReplicaSnapshot() (coveredSeq uint64, blob []byte, err error) 
 	if ra := s.replApplied.Load(); ra > coveredSeq {
 		coveredSeq = ra
 	}
-	streams := s.snapshotStreams()
+	idx := s.index.Load()
 	doc := replicaState{
 		ByProcs:  s.byProcs.Load(),
 		NextSeed: s.nextSeed.Load(),
-		Streams:  make(map[string]shardStream, len(streams)),
+		Streams:  make(map[string]shardStream, idx.count()),
 	}
-	for k, st := range streams {
-		core, cerr := coreOf(k, st)
-		if cerr != nil {
-			return 0, nil, cerr
-		}
-		doc.Streams[k] = core
+	idx.forEachOrdered(func(k string, st *stream) bool {
+		doc.Streams[k], err = coreOf(k, st)
+		return err == nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	blob, err = json.Marshal(doc)
 	if err != nil {

@@ -3,7 +3,6 @@ package qbets
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/repl"
 )
@@ -65,16 +64,13 @@ func (s *Service) OpenReplicaSnapshotStream() (repl.SnapshotStream, error) {
 	if ra := s.replApplied.Load(); ra > covered {
 		covered = ra
 	}
-	streams := s.snapshotStreams()
-	keys := make([]string, 0, len(streams))
-	for k := range streams {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sts := make([]*stream, len(keys))
-	for i, k := range keys {
-		sts[i] = streams[k]
-	}
+	idx := s.index.Load()
+	n := idx.count()
+	keys, sts := make([]string, 0, n), make([]*stream, 0, n)
+	idx.forEachOrdered(func(k string, st *stream) bool {
+		keys, sts = append(keys, k), append(sts, st)
+		return true
+	})
 	per := int(s.snapChunkStreams.Load())
 	if per <= 0 {
 		per = defaultSnapshotChunkStreams
@@ -143,10 +139,13 @@ func (s *Service) BeginReplicaSnapshot(coveredSeq uint64, header []byte) error {
 		return fmt.Errorf("qbets: %w: replica snapshot header declares %d chunks, %d streams", ErrCorruptState, h.Chunks, h.Streams)
 	}
 	s.pendingSnapMu.Lock()
+	// The map grows from the chunks that arrive, not from the header's
+	// declared stream count: that comes off the wire, and a corrupt or
+	// hostile header must not allocate before any chunk proves it.
 	s.pendingSnap = &pendingReplicaSnapshot{
 		byProcs:      h.ByProcs,
 		nextSeed:     h.NextSeed,
-		streams:      make(map[string]*stream, h.Streams),
+		streams:      make(map[string]*stream),
 		expectChunks: h.Chunks,
 	}
 	s.pendingSnapMu.Unlock()

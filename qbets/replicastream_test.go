@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,6 +169,29 @@ func TestChunkedInstallGuards(t *testing.T) {
 	if s.ReplicaAppliedSeq() != 1 {
 		t.Fatalf("torn transfer moved the applied seq to %d", s.ReplicaAppliedSeq())
 	}
+}
+
+// TestBeginReplicaSnapshotSizesNothingFromTheHeader: the header's stream
+// count comes off the wire, so a pending install must grow from the chunks
+// that arrive instead of reserving what the header declares. A header
+// declaring 4,000,000 streams with no chunk behind it leaves under 1 MB
+// live; pre-sizing the pending map from it held 223.6 MB.
+func TestBeginReplicaSnapshotSizesNothingFromTheHeader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations distort heap sizes")
+	}
+	s := NewService(false, WithSeed(1))
+	s.SetFollower(true)
+	base := liveHeap()
+	if err := s.BeginReplicaSnapshot(1, []byte(`{"by_procs":false,"next_seed":1,"streams":4000000,"chunks":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	grew := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(s)
+	if grew >= 1<<20 {
+		t.Fatalf("an empty install declaring 4,000,000 streams left %d bytes live, want under 1 MB", grew)
+	}
+	s.AbortReplicaSnapshot()
 }
 
 // TestSnapshotCatchupMemoryIsChunkBounded is the O(chunk) claim as a

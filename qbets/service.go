@@ -21,16 +21,15 @@ import (
 // would a 32-processor job submitted to normal wait, at worst?".
 //
 // Service is safe for concurrent use and designed so readers never wait:
-// streams live in a fixed array of lock-striped shards (hashed by stream
-// key) that only the write and admin paths touch, while every read API —
-// Forecast, Profile, Observations, StreamStats, Stats — runs lock-free
-// against two RCU-published immutable structures:
+// every read API — Forecast, Profile, Observations, StreamStats, Stats —
+// runs lock-free against two RCU-published immutable structures:
 //
-//   - a partitioned copy-on-write stream index (see index.go): one or two
-//     atomic loads resolve a (queue, processor-category) shape to its
-//     stream with no locking and no key construction. Creating a stream
-//     republishes only the partition it hashes into, O(partition load),
-//     so stream-creation churn scales linearly; and
+//   - a partitioned copy-on-write stream index (see index.go), the
+//     service's one registry: one or two atomic loads resolve a (queue,
+//     processor-category) shape to its stream with no locking and no key
+//     construction, for the write path too. Creating a stream republishes
+//     only the partition it hashes into, O(partition load), so
+//     stream-creation churn scales linearly; and
 //   - a per-stream forecastSnapshot (bound, monitoring counters,
 //     generation number) published under the stream's write lock.
 //
@@ -64,16 +63,15 @@ type Service struct {
 	quantile   float64
 	confidence float64
 
-	shards   [serviceShards]serviceShard
 	nStreams atomic.Int64
 	nextSeed atomic.Int64
 
-	// index is the partitioned copy-on-write read path (index.go): an
-	// immutable root of immutable partitions, republished per-partition on
-	// stream creation and wholesale when replaceStreams installs a
-	// restored set or growth resizes the partition array. The hot read
-	// path is two atomic loads plus one or two map probes — no locks, no
-	// key concatenation.
+	// index is the stream registry (index.go): an immutable root of
+	// immutable partitions, republished per-partition on stream creation
+	// and wholesale when replaceStreams installs a restored set or growth
+	// resizes the partition array. A lookup is two atomic loads plus one
+	// or two map probes — no locks, no key concatenation. indexMu
+	// serializes creation, growth and restore.
 	index   atomic.Pointer[streamIndex]
 	indexMu sync.Mutex
 
@@ -120,6 +118,12 @@ type Service struct {
 	replApplied atomic.Uint64
 	commitHook  func(lastSeq uint64) error
 
+	// replMu serializes ApplyReplicated, which groups every shipped batch
+	// in the same replBatch and replSc instead of allocating per batch.
+	replMu    sync.Mutex
+	replBatch []replayRecord
+	replSc    replayScratch
+
 	// Chunked catch-up (replicastream.go). snapChunkStreams is the
 	// per-chunk stream count for outgoing snapshot streams (0 = default);
 	// pendingSnap accumulates an incoming chunked install until commit.
@@ -139,8 +143,6 @@ var ErrInvalidWait = errors.New("qbets: wait_seconds must be finite and non-nega
 // and status reads keep working; the mode clears itself as soon as an
 // append succeeds again.
 var ErrReadOnly = errors.New("qbets: read-only: observation log appends are failing")
-
-const serviceShards = 64
 
 // cacheSlotWhole is the stream-index slot for whole-queue streams (byProcs
 // off); slots below it are indexed by processor category.
@@ -189,11 +191,6 @@ type forecastSnapshot struct {
 // tables examine, while the window still reacts to regime changes within
 // a few hundred jobs.
 const hitRateWindow = 500
-
-type serviceShard struct {
-	mu sync.RWMutex
-	m  map[string]*stream
-}
 
 // stream couples one Forecaster with its own lock and monitoring state.
 // The lock serializes writers (observe, batch apply, replay, serialize,
@@ -301,9 +298,6 @@ func NewService(splitByProcs bool, opts ...Option) *Service {
 	s.byProcs.Store(splitByProcs)
 	s.index.Store(newStreamIndex(indexInitialPartitions))
 	s.clock.Store(time.Now().UnixNano())
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*stream)
-	}
 	return s
 }
 
@@ -321,42 +315,30 @@ func (s *Service) key(queue string, procs int) string {
 	return queue + "/" + CategoryOf(procs).Label()
 }
 
-// shardOf hashes a stream key to its shard (FNV-1a, shared with the index
-// partitioning in index.go).
-func shardOf(key string) uint32 {
-	return keyHash(key) % serviceShards
-}
-
 // lookup returns the stream for a key without creating it: two atomic
 // loads of the published index, no locking. A stream whose creation has
 // not yet republished its partition is momentarily invisible here, which
-// reads the same as arriving just before the creation — the shard maps
-// stay the authority for the write path.
+// reads the same as arriving just before the creation.
 func (s *Service) lookup(key string) *stream {
 	return s.index.Load().lookupKey(key)
 }
 
-// getOrCreate returns the stream for a key, creating it on first use. The
-// new stream's index partition is republished after the shard insert
-// (outside the shard lock), so by the time this returns the new stream is
-// visible to lock-free readers.
+// getOrCreate returns the stream for a key, creating it on first use. A
+// miss re-checks under indexMu, which every creation holds, so a key is
+// created once however many callers race for it; by the time this
+// returns the new stream is visible to lock-free readers.
 func (s *Service) getOrCreate(key string) *stream {
 	if st := s.lookup(key); st != nil {
 		return st
 	}
-	sh := &s.shards[shardOf(key)]
-	sh.mu.Lock()
-	st := sh.m[key]
-	created := st == nil
-	if created {
-		st = s.newStream(key)
-		sh.m[key] = st
-		s.nStreams.Add(1)
+	s.indexMu.Lock()
+	defer s.indexMu.Unlock()
+	if st := s.lookup(key); st != nil {
+		return st
 	}
-	sh.mu.Unlock()
-	if created {
-		s.indexInsert(key, st)
-	}
+	st := s.newStream(key)
+	s.nStreams.Add(1)
+	s.indexInsertLocked(key, st)
 	return st
 }
 
@@ -583,9 +565,10 @@ type replayRecord struct {
 }
 
 // replayScratch is the grouping state of one RecoverWAL apply worker,
-// reused across the batches it applies, or of one ApplyReplicated call.
-// It is never pooled across calls: recovery's batches are transient, and
-// a pool would keep them counted in the live heap after the restart.
+// reused across the batches it applies, or the service's for
+// ApplyReplicated, reused across shipped batches under replMu. It is
+// never pooled: recovery's batches are transient, and a pool would keep
+// them counted in the live heap after the restart.
 type replayScratch struct {
 	group   map[*stream]int32 // stream -> its group in this batch
 	streams []*stream         // group -> stream, in first-appearance order
@@ -597,9 +580,13 @@ type replayScratch struct {
 // apply groups batch by stream (a counting sort, so each group keeps the
 // log's order) and folds each group in one lock hold through
 // applyRunLocked. It returns the first rehydration failure; the failed
-// stream's group is skipped, every other group still applies.
+// stream's group is skipped, every other group still applies. The
+// scratch holds no stream once apply returns, so a scratch kept between
+// batches pins nothing a restore has since replaced.
 func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
-	clear(sc.group)
+	if sc.group == nil {
+		sc.group = make(map[*stream]int32)
+	}
 	sc.streams, sc.ends, sc.of = sc.streams[:0], sc.ends[:0], sc.of[:0]
 	for i := range batch {
 		g, ok := sc.group[batch[i].st]
@@ -640,6 +627,9 @@ func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
 		}
 		st.mu.Unlock()
 	}
+	clear(sc.group)
+	clear(sc.streams)
+	clear(sc.sorted)
 	return firstErr
 }
 
@@ -1070,39 +1060,32 @@ func (s *Service) StatsLimit(limit int) []StreamStatus {
 	return out
 }
 
-// replaceStreams swaps in a freshly restored stream set (state.go). Shard
-// locks are taken in index order, so concurrent replaceStreams calls
-// cannot deadlock; readers mid-flight keep operating on streams from the
-// old set, which matches wholesale-restore semantics.
+// replaceStreams swaps in a freshly restored stream set (state.go):
+// readers mid-flight keep operating on streams from the old set, which
+// matches wholesale-restore semantics. The new root is built from the
+// restored set alone under indexMu, so no old-set stream and no
+// concurrent creation leaks in; once this returns, every lock-free reader
+// resolves streams (and therefore forecast snapshots) from the restored
+// set only.
 func (s *Service) replaceStreams(streams map[string]*stream) {
-	var n, cold int64
+	var cold int64
 	var seq uint64
-	var grouped [serviceShards]map[string]*stream
-	for i := range grouped {
-		grouped[i] = make(map[string]*stream)
-	}
-	for k, st := range streams {
-		grouped[shardOf(k)][k] = st
-		n++
+	for _, st := range streams {
 		if st.evicted.Load() {
 			cold++
 		}
 		seq = max(seq, st.lastSeq) // the set is not yet published: no lock needed
 	}
 	s.restoredSeq.Store(seq)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m = grouped[i]
-		sh.mu.Unlock()
-	}
-	s.nStreams.Store(n)
+	s.indexMu.Lock()
+	defer s.indexMu.Unlock()
+	s.nStreams.Store(int64(len(streams)))
 	s.nCold.Store(cold)
-	// Republish the index from the new shard maps. The rebuild always
-	// reads current shard state, so it can never resurrect an old-set
-	// stream; once this returns, every lock-free reader resolves streams
-	// (and therefore forecast snapshots) from the restored set only.
-	s.republishIndex()
+	s.rebuildIndexLocked(func(fn func(string, *stream)) {
+		for k, st := range streams {
+			fn(k, st)
+		}
+	})
 }
 
 // RecoverWAL replays w's surviving records on top of the service's current
@@ -1142,7 +1125,7 @@ func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := replayScratch{group: make(map[*stream]int32)}
+			var sc replayScratch
 			for batch := range queues[i] {
 				if err := sc.apply(s, batch); err != nil && errs[i] == nil {
 					errs[i] = err
@@ -1272,18 +1255,4 @@ func (s *Service) lifecycleMetrics() lifecycleMetricRefs {
 		rehydrations:  &s.rehydrations,
 		indexRebuilds: &s.indexRebuilds,
 	}
-}
-
-// snapshotStreams returns the current stream set (state.go's save path).
-func (s *Service) snapshotStreams() map[string]*stream {
-	out := make(map[string]*stream, s.nStreams.Load())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, st := range sh.m {
-			out[k] = st
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -132,19 +131,27 @@ func (s *Service) SaveShards(dir string) error {
 // derives it from the stream count.
 func (s *Service) saveShards(dir string, shards int) error {
 	cut, rotated := s.preSaveRotate()
-	streams := s.snapshotStreams()
+	idx := s.index.Load()
 	if shards <= 0 {
-		shards = shardCount(len(streams))
+		shards = shardCount(idx.count())
 	}
 
 	// Partition by key hash, then render shards in parallel — each worker
 	// owns its shard's key list wholesale, so no cross-worker
-	// coordination. Keys are sorted, the order encoding/json gives a map.
-	parts := make([][]string, shards)
-	for k := range streams {
-		i := keyHash(k) % uint32(shards)
-		parts[i] = append(parts[i], k)
+	// coordination. The index walk is in key order, so each shard's keys
+	// come out sorted, the order encoding/json gives a map.
+	type part struct {
+		keys []string
+		sts  []*stream
 	}
+	parts := make([]part, shards)
+	streams := 0
+	idx.forEachOrdered(func(k string, st *stream) bool {
+		p := &parts[keyHash(k)%uint32(shards)]
+		p.keys, p.sts = append(p.keys, k), append(p.sts, st)
+		streams++
+		return true
+	})
 
 	gen := fmt.Sprintf("gen-%d", time.Now().UnixNano())
 	genDir := filepath.Join(dir, gen)
@@ -153,10 +160,9 @@ func (s *Service) saveShards(dir string, shards int) error {
 	}
 	errs := make([]error, shards)
 	parallel.ForEachIndex(shards, func(i int) {
-		keys := parts[i]
-		sort.Strings(keys)
-		doc, err := appendShardCores(nil, keys, func(j int) (shardStream, error) {
-			return coreOf(keys[j], streams[keys[j]])
+		p := parts[i]
+		doc, err := appendShardCores(nil, p.keys, func(j int) (shardStream, error) {
+			return coreOf(p.keys[j], p.sts[j])
 		})
 		if err != nil {
 			errs[i] = err
@@ -172,7 +178,7 @@ func (s *Service) saveShards(dir string, shards int) error {
 		ByProcs:  s.byProcs.Load(),
 		NextSeed: s.nextSeed.Load(),
 		Shards:   shards,
-		Streams:  len(streams),
+		Streams:  streams,
 	})
 	if err != nil {
 		os.RemoveAll(genDir)
