@@ -65,6 +65,38 @@ func TestObserveBatchAllocBudget(t *testing.T) {
 			t.Fatalf("ObserveBatch size %d averaged %.3f allocs/record, budget %.1f", size, perRec, writePathAllocBudget)
 		}
 	}
+
+	// A 256-record chunk over 256 streams (the nowal/streams256/size256
+	// subject): once the streams exist, resolving, grouping and lock
+	// ordering run in pooled scratch, so a batch allocates nothing at all.
+	// Bounded histories reach their allocation-free steady state in the
+	// warm-up, and every stream publishes just before the measurement, so
+	// none reaches publishBacklog inside it. The race detector makes
+	// sync.Pool drop Puts at random, so the pooled scratch is re-grown
+	// there and the check runs only in a normal build.
+	if raceEnabled {
+		return
+	}
+	svc := NewService(true, WithSeed(3), WithMaxHistory(100))
+	recs := siteRecords(256, 64, 1)
+	r := 0
+	batch := func() {
+		at := r % 64 * 256
+		if _, err := svc.ObserveBatch(recs[at : at+256]); err != nil {
+			t.Fatal(err)
+		}
+		r++
+	}
+	for r < 256 {
+		batch()
+	}
+	for _, st := range streamsOf(svc) {
+		st.loadSnap()
+	}
+	// AllocsPerRun adds one warm-up call: publishBacklog-1 batches in all.
+	if avg := testing.AllocsPerRun(publishBacklog-2, batch); avg != 0 {
+		t.Fatalf("a 256-stream, 256-record batch averaged %.2f allocs, want 0", avg)
+	}
 }
 
 // TestApplyReplicatedDuplicateBatchAllocs pins the follower's re-send

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,6 +107,83 @@ func TestObserveBatchMatchesSequentialObserve(t *testing.T) {
 			})
 		}
 	}
+	// Many streams, the shape of a scheduler-log dump: 256-record chunks
+	// each spanning 256 of 512 streams, with the WAL on. Every stream's
+	// serialized forecaster and lastSeq, the seed counter, and the logged
+	// records (key, wait, seq) must match the record-at-a-time oracle's.
+	for _, byProcs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("streams512/byProcs=%v", byProcs), func(t *testing.T) {
+			records := siteRecords(512, 100, 7)
+			for base := 0; base < len(records); base += observeBatchChunk {
+				spanned := map[string]bool{}
+				for _, r := range records[base : base+observeBatchChunk] {
+					spanned[fmt.Sprintf("%s/%d", r.Queue, CategoryOf(r.Procs))] = true
+				}
+				if len(spanned) <= 200 {
+					t.Fatalf("chunk at %d spans %d streams, want more than 200", base, len(spanned))
+				}
+			}
+			batched, batchedFS := newMemWALService(t, byProcs)
+			for base := 0; base < len(records); base += 3 * observeBatchChunk {
+				end := min(base+3*observeBatchChunk, len(records))
+				if applied, err := batched.ObserveBatch(records[base:end]); err != nil || applied != end-base {
+					t.Fatalf("batch at %d: applied %d, %v", base, applied, err)
+				}
+			}
+			oracle, oracleFS := newMemWALService(t, byProcs)
+			for _, r := range records {
+				if err := oracle.Observe(r.Queue, r.Procs, r.WaitSeconds); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, gotSeed := digestService(t, batched)
+			want, wantSeed := digestService(t, oracle)
+			compareDigests(t, got, want)
+			if gotSeed != wantSeed {
+				t.Fatalf("seed counter %d, oracle %d", gotSeed, wantSeed)
+			}
+			gotLog, wantLog := loggedRecords(t, batched, batchedFS), loggedRecords(t, oracle, oracleFS)
+			if len(gotLog) != len(records) || !slices.Equal(gotLog, wantLog) {
+				t.Fatalf("logged %d records, oracle %d; the logs differ", len(gotLog), len(wantLog))
+			}
+		})
+	}
+}
+
+// newMemWALService returns a service logging to a fresh in-memory WAL.
+func newMemWALService(t *testing.T, byProcs bool) (*Service, *wal.MemFS) {
+	t.Helper()
+	fs := wal.NewMemFS()
+	w, err := wal.Open("wal", wal.Options{FS: fs, Mode: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewService(byProcs, WithSeed(1))
+	if _, err := s.RecoverWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	return s, fs
+}
+
+// loggedRecords closes s's WAL on fs and returns every record it holds,
+// timestamps zeroed (they come from a coarse wall clock).
+func loggedRecords(t *testing.T, s *Service, fs *wal.MemFS) []wal.Record {
+	t.Helper()
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open("wal", wal.Options{FS: fs, Mode: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var out []wal.Record
+	if _, err := w.Replay(func(r wal.Record) {
+		out = append(out, wal.Record{Seq: r.Seq, Key: strings.Clone(r.Key), Wait: r.Wait})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestObserveBatchValidation: an invalid wait anywhere in the batch rejects

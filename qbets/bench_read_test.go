@@ -43,7 +43,7 @@ func newRWMutexRegistry(s *Service) *rwmutexRegistry {
 // then compute the bound under the stream RLock — sharing cache lines and
 // lock words with writers.
 func (r *rwmutexRegistry) forecastRWMutexBaseline(s *Service, queue string, procs int) (float64, bool) {
-	key := s.key(queue, procs)
+	key := s.keyForSlot(queue, s.slotOf(procs))
 	sh := &r[keyHash(key)%uint32(len(r))]
 	sh.mu.RLock()
 	st := sh.m[key]

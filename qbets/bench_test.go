@@ -178,6 +178,28 @@ func BenchmarkServiceObserveBatch(b *testing.B) {
 			})
 		}
 	}
+	// Multi-stream chunks, the shape of a scheduler-log dump: 256-record
+	// batches over 16 and 256 streams with siteKeys-shaped keys, laid out
+	// in shuffled rounds as loadbench's preload lays out plan's set-up.
+	// The streams are created by one untimed batch.
+	for _, streams := range []int{16, 256} {
+		b.Run(fmt.Sprintf("nowal/streams%d/size256", streams), func(b *testing.B) {
+			svc := NewService(true, WithSeed(3))
+			recs := siteRecords(streams, 64*256/streams, 1)
+			if _, err := svc.ObserveBatch(recs[:256]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i % 64 * 256
+				if applied, err := svc.ObserveBatch(recs[at : at+256]); err != nil || applied != 256 {
+					b.Fatalf("applied %d, %v", applied, err)
+				}
+			}
+			b.ReportMetric(256*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
 	// Group commit under concurrency: goroutines feeding different streams
 	// (same-stream batches serialize on the stream write lock regardless)
 	// each commit small batches with full per-batch durability; the
@@ -204,6 +226,25 @@ func BenchmarkServiceObserveBatch(b *testing.B) {
 		})
 		b.ReportMetric(10*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
+}
+
+// siteRecords lays out rounds records for each of n streams the way
+// loadbench's preload lays out a shared scheduler log: round k carries
+// one record per stream, streams in a seeded order per round. Stream i is
+// queue "siteNNNN.machine/queue" (NNNN = i) with a processor count in
+// category i%4, so the n streams stay distinct under either routing mode
+// and their by-category keys have siteKeys' shape.
+func siteRecords(n, rounds int, seed int64) []ObserveRecord {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]ObserveRecord, 0, n*rounds)
+	for k := 0; k < rounds; k++ {
+		for _, i := range rng.Perm(n) {
+			procs, _ := ProcCategory(i % 4).Range()
+			queue := fmt.Sprintf("site%04d.machine/queue", i)
+			recs = append(recs, ObserveRecord{Queue: queue, Procs: procs, WaitSeconds: rng.ExpFloat64() * 600})
+		}
+	}
+	return recs
 }
 
 func observePayload(size int) []byte {

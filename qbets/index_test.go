@@ -150,7 +150,7 @@ func TestIndexGrowth(t *testing.T) {
 func TestSplitKeyRoundTrip(t *testing.T) {
 	svc := NewService(true)
 	for _, procs := range []int{1, 4, 8, 32, 128, 1024} {
-		key := svc.key("normal", procs)
+		key := svc.keyForSlot("normal", svc.slotOf(procs))
 		queue, slot, ok := splitKey(key, true)
 		if !ok || queue != "normal" || slot != svc.slotOf(procs) {
 			t.Errorf("splitKey(%q) = (%q, %d, %v), want (normal, %d, true)", key, queue, slot, ok, svc.slotOf(procs))

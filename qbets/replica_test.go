@@ -1,6 +1,7 @@
 package qbets
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -118,6 +119,91 @@ func TestApplyReplicatedMatchesDirectObserve(t *testing.T) {
 	ws, _ := oracle.StreamStats("normal", 0)
 	if fs.Observations != ws.Observations {
 		t.Fatalf("re-delivery changed state: %d vs %d observations", fs.Observations, ws.Observations)
+	}
+}
+
+// TestApplyReplicatedCoveredRunSkipsRehydration: a re-sent batch whose
+// records an evicted stream already holds (every seq at or below its
+// lastSeq) skips the stream without decoding its blob, so a reconnect's
+// re-send inflates nothing; the first record past the anchor still
+// rehydrates and applies.
+func TestApplyReplicatedCoveredRunSkipsRehydration(t *testing.T) {
+	fol := NewService(false, WithSeed(1))
+	fol.SetFollower(true)
+	recs := make([]wal.Record, 100)
+	for i := range recs {
+		recs[i] = wal.Record{Seq: uint64(i + 1), Key: "normal", Wait: float64(10 + i%37), UnixNanos: 1}
+	}
+	if err := fol.ApplyReplicated(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	if n := fol.EvictToCap(0); n != 1 {
+		t.Fatalf("evicted %d streams, want 1", n)
+	}
+	before, _ := fol.StreamStats("normal", 0)
+	if err := fol.ApplyReplicated(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := fol.StreamStats("normal", 0)
+	if got := fol.rehydrations.Value(); got != 0 || fol.LiveStreams() != 0 || after != before {
+		t.Fatalf("covered re-send: %d rehydrations, %d live streams, status %+v (was %+v); want 0, 0, unchanged",
+			got, fol.LiveStreams(), after, before)
+	}
+	next := []wal.Record{{Seq: 101, Key: "normal", Wait: 12, UnixNanos: 1}}
+	if err := fol.ApplyReplicated(100, next); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fol.StreamStats("normal", 0); fol.rehydrations.Value() != 1 || fol.LiveStreams() != 1 || got.Observations != 101 {
+		t.Fatalf("uncovered record: %d rehydrations, %d live streams, %d observations; want 1, 1, 101",
+			fol.rehydrations.Value(), fol.LiveStreams(), got.Observations)
+	}
+}
+
+// TestApplyReplicatedCorruptStreamBoundary pins where a corrupt cold
+// stream stops a follower: records it already covers skip it, so a
+// re-sent batch applies and the prefix advances, while a record past its
+// anchor needs the blob and still fails with ErrCorruptState, leaving
+// the prefix where it was.
+func TestApplyReplicatedCorruptStreamBoundary(t *testing.T) {
+	var cores map[string]shardStream
+	if err := json.Unmarshal(realSnapshotChunk(t, true), &cores); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := cores["short/1-4"]
+	corrupt.State, corrupt.Seq = []byte("AAAA"), 20 // undecodable, anchored at seq 20
+	chunk, err := json.Marshal(map[string]shardStream{"q/65+": corrupt, "r/65+": cores["normal/65+"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := installChunk(true, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := cores["normal/65+"].Observations
+	// Seqs 10–20 alternate between the two streams: q's records (the even
+	// seqs) all lie at or below its anchor, r's extend r.
+	var batch []wal.Record
+	for seq := uint64(10); seq <= 20; seq++ {
+		key := "q/65+"
+		if seq%2 == 1 {
+			key = "r/65+"
+		}
+		batch = append(batch, wal.Record{Seq: seq, Key: key, Wait: 1, UnixNanos: 1})
+	}
+	if err := s.ApplyReplicated(9, batch); err != nil {
+		t.Fatalf("batch covering the corrupt stream: %v, want nil", err)
+	}
+	r, _ := s.StreamStats("r", 128)
+	if s.ReplicaAppliedSeq() != 20 || s.LiveStreams() != 1 || r.Observations != healthy+5 {
+		t.Fatalf("applied prefix %d, %d live streams, r holds %d observations; want 20, 1, %d",
+			s.ReplicaAppliedSeq(), s.LiveStreams(), r.Observations, healthy+5)
+	}
+	past := []wal.Record{{Seq: 21, Key: "q/65+", Wait: 1, UnixNanos: 1}}
+	if err := s.ApplyReplicated(20, past); !errors.Is(err, ErrCorruptState) {
+		t.Fatalf("record past the corrupt stream's anchor: %v, want ErrCorruptState", err)
+	}
+	if s.ReplicaAppliedSeq() != 20 || s.LiveStreams() != 1 {
+		t.Fatalf("after the refused record: applied prefix %d, %d live streams; want 20, 1", s.ReplicaAppliedSeq(), s.LiveStreams())
 	}
 }
 

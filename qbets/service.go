@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,6 +131,9 @@ type Service struct {
 	pendingSnap      *pendingReplicaSnapshot
 }
 
+// streamLockIDs numbers streams as they are constructed (stream.lockID).
+var streamLockIDs atomic.Uint64
+
 // ErrInvalidWait rejects observations whose wait is NaN, infinite, or
 // negative — none of which can be a queue delay, and any of which would
 // poison the order statistics every future bound is computed from.
@@ -198,11 +200,14 @@ const hitRateWindow = 500
 // and only ever *try* the lock (publish-on-demand) — they never wait on
 // it.
 type stream struct {
-	key  string
-	mu   sync.RWMutex
-	fc   *Forecaster
-	hit  *obs.RollingRate
-	snap atomic.Pointer[forecastSnapshot]
+	key string
+	mu  sync.RWMutex
+	// lockID places mu in the global lock order (see observeChunk): drawn
+	// once at construction from streamLockIDs, so unique and fixed.
+	lockID uint64
+	fc     *Forecaster
+	hit    *obs.RollingRate
+	snap   atomic.Pointer[forecastSnapshot]
 
 	// dirty is set (under mu) when applied state is newer than the
 	// published snapshot and cleared by publishLocked. Readers poll it to
@@ -308,13 +313,6 @@ func (s *Service) Quantile() float64 { return s.quantile }
 // with.
 func (s *Service) Confidence() float64 { return s.confidence }
 
-func (s *Service) key(queue string, procs int) string {
-	if !s.byProcs.Load() {
-		return queue
-	}
-	return queue + "/" + CategoryOf(procs).Label()
-}
-
 // lookup returns the stream for a key without creating it: two atomic
 // loads of the published index, no locking. A stream whose creation has
 // not yet republished its partition is momentarily invisible here, which
@@ -368,8 +366,7 @@ func (s *Service) slotOf(procs int) int {
 	return int(CategoryOf(procs))
 }
 
-// keyForSlot builds the registry key for a queue and cache slot; it agrees
-// with key() by construction.
+// keyForSlot builds the registry key for a queue and cache slot.
 func (s *Service) keyForSlot(queue string, slot int) string {
 	if slot == cacheSlotWhole {
 		return queue
@@ -383,10 +380,8 @@ func (s *Service) keyForSlot(queue string, slot int) string {
 // miss. There is no insert-back step: getOrCreate republishes the
 // partition, so the next call hits.
 func (s *Service) streamForSlot(queue string, slot int) *stream {
-	if arr := s.index.Load().lookupQueue(queue); arr != nil {
-		if st := arr[slot]; st != nil {
-			return st
-		}
+	if arr := s.index.Load().lookupQueue(queue); arr != nil && arr[slot] != nil {
+		return arr[slot]
 	}
 	return s.getOrCreate(s.keyForSlot(queue, slot))
 }
@@ -412,7 +407,7 @@ func (s *Service) newStream(key string) *stream {
 	opts := append([]Option{WithSeed(seed)}, s.opts...)
 	fc := New(opts...)
 	fc.Forecast()
-	st := &stream{key: key, fc: fc, hit: obs.NewRollingRate(hitRateWindow)}
+	st := &stream{key: key, lockID: streamLockIDs.Add(1), fc: fc, hit: obs.NewRollingRate(hitRateWindow)}
 	st.lastTouch.Store(s.clock.Load())
 	st.publishLocked()
 	p := s.sharedEmptyProfile()
@@ -564,60 +559,79 @@ type replayRecord struct {
 	seq  uint64
 }
 
-// replayScratch is the grouping state of one RecoverWAL apply worker,
-// reused across the batches it applies, or the service's for
-// ApplyReplicated, reused across shipped batches under replMu. It is
-// never pooled: recovery's batches are transient, and a pool would keep
-// them counted in the live heap after the restart.
+// replayScratch is the grouping state of the three apply paths, reused
+// across batches: one per RecoverWAL apply worker, the service's for
+// ApplyReplicated (under replMu), and one in each pooled chunkScratch for
+// ObserveBatch. Recovery's is never pooled: a pool would keep its
+// transient batches counted in the live heap after the restart.
 type replayScratch struct {
 	group   map[*stream]int32 // stream -> its group in this batch
 	streams []*stream         // group -> stream, in first-appearance order
-	ends    []int32           // group -> end of its run in sorted
+	starts  []int32           // group -> start of its run in sorted; starts[G] = len(batch)
 	of      []int32           // batch record -> its group
-	sorted  []replayRecord    // the batch grouped, log order within a group
+	sorted  []replayRecord    // the batch grouped, batch order within a group; st is nil
 }
 
-// apply groups batch by stream (a counting sort, so each group keeps the
-// log's order) and folds each group in one lock hold through
-// applyRunLocked. It returns the first rehydration failure; the failed
-// stream's group is skipped, every other group still applies. The
-// scratch holds no stream once apply returns, so a scratch kept between
-// batches pins nothing a restore has since replaced.
-func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
+// groupRuns lays batch out in sc.sorted as per-stream runs, a counting
+// sort keyed by stream pointer: linear in the batch, batch order within a
+// run. Group g is sc.streams[g] with run sc.sorted[sc.starts[g]:sc.starts[g+1]].
+func (sc *replayScratch) groupRuns(batch []replayRecord) {
+	sc.streams, sc.starts, sc.of = sc.streams[:0], sc.starts[:0], sc.of[:0]
 	if sc.group == nil {
 		sc.group = make(map[*stream]int32)
 	}
-	sc.streams, sc.ends, sc.of = sc.streams[:0], sc.ends[:0], sc.of[:0]
+	var g int32
 	for i := range batch {
-		g, ok := sc.group[batch[i].st]
-		if !ok {
-			g = int32(len(sc.streams))
-			sc.group[batch[i].st] = g
-			sc.streams = append(sc.streams, batch[i].st)
-			sc.ends = append(sc.ends, 0)
+		switch {
+		case i == 0: // a one-stream batch never touches the table
+			sc.streams, sc.starts = append(sc.streams, batch[0].st), append(sc.starts, 0)
+		case batch[i].st != batch[i-1].st: // else the previous record's group
+			if len(sc.group) == 0 {
+				sc.group[sc.streams[0]] = 0
+			}
+			var ok bool
+			if g, ok = sc.group[batch[i].st]; !ok {
+				g = int32(len(sc.streams))
+				sc.group[batch[i].st] = g
+				sc.streams = append(sc.streams, batch[i].st)
+				sc.starts = append(sc.starts, 0)
+			}
 		}
-		sc.ends[g]++
+		sc.starts[g]++
 		sc.of = append(sc.of, g)
 	}
+	clear(sc.group)
 	var at int32
-	for g, n := range sc.ends {
-		sc.ends[g] = at
+	for g, n := range sc.starts {
 		at += n
+		sc.starts[g] = at // the run's end until the placement below
 	}
+	sc.starts = append(sc.starts, at)
+	// Placing back to front keeps batch order within a run and leaves each
+	// group's entry at its run's start.
 	sc.sorted = slices.Grow(sc.sorted[:0], len(batch))[:len(batch)]
-	for i := range batch {
+	for i := len(batch) - 1; i >= 0; i-- {
 		g := sc.of[i]
-		sc.sorted[sc.ends[g]] = batch[i]
-		sc.ends[g]++
+		sc.starts[g]--
+		sc.sorted[sc.starts[g]] = replayRecord{wait: batch[i].wait, seq: batch[i].seq}
 	}
+}
+
+// apply groups batch and folds each run in one lock hold through
+// applyRunLocked. A cold stream rehydrates only if its run reaches past
+// its lastSeq (runs are in log order, so the last record decides), so a
+// re-sent batch or a log tail a snapshot covers decodes no blob. apply
+// returns the first rehydration failure; that stream's run is skipped,
+// every other run still applies. The scratch holds no stream once apply
+// returns, so it pins nothing a restore has since replaced.
+func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
+	sc.groupRuns(batch)
 	var firstErr error
-	var start int32
 	for g, st := range sc.streams {
-		run := sc.sorted[start:sc.ends[g]]
-		start = sc.ends[g]
+		run := sc.sorted[sc.starts[g]:sc.starts[g+1]]
 		st.mu.Lock()
 		var err error
-		if st.fc == nil {
+		if st.fc == nil && run[len(run)-1].seq > st.lastSeq {
 			err = st.rehydrateLocked(s)
 		}
 		if err == nil {
@@ -627,9 +641,7 @@ func (sc *replayScratch) apply(s *Service, batch []replayRecord) error {
 		}
 		st.mu.Unlock()
 	}
-	clear(sc.group)
 	clear(sc.streams)
-	clear(sc.sorted)
 	return firstErr
 }
 
@@ -658,35 +670,18 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // count is exact.
 const observeBatchChunk = 256
 
-// batchGroup is one (queue, category) group within a chunk and its run
-// [start, end) in chunkScratch.runs.
-type batchGroup struct {
-	queue      string
-	slot       int
-	st         *stream
-	start, end int32
-}
-
-// chunkScratch is the memory observeChunk lays a chunk out in; each slice
-// holds at least a chunk, so nothing allocates or grows.
+// chunkScratch is the memory observeChunk lays a chunk out in; its slices
+// grow to a chunk on first use. ObserveBatch pools them uncleared: the
+// pool drops idle scratch at each GC, so what one still references is
+// pinned for at most two cycles.
 type chunkScratch struct {
-	groups  []batchGroup
-	of      []int32        // chunk record -> its group, before the lock-order sort
-	runs    []replayRecord // the chunk as per-stream runs, chunk order within a run
+	replayScratch
+	recs    []replayRecord // the chunk resolved, chunk order
+	order   []uint64       // groups in lock order
 	entries []wal.Entry
 }
 
-// batchScratch backs a chunkScratch for a full chunk. ObserveBatch pools
-// them uncleared: the pool drops idle scratch at each GC, so what one
-// still references is pinned for at most two cycles.
-type batchScratch struct {
-	groups  [observeBatchChunk]batchGroup
-	of      [observeBatchChunk]int32
-	runs    [observeBatchChunk]replayRecord
-	entries [observeBatchChunk]wal.Entry
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+var chunkScratchPool = sync.Pool{New: func() any { return new(chunkScratch) }}
 
 // ObserveBatch records a batch of completed waits, amortizing the write
 // path: records are grouped by stream, each chunk is appended to the WAL
@@ -715,19 +710,10 @@ func (s *Service) ObserveBatch(records []ObserveRecord) (applied int, err error)
 	if len(records) == 0 {
 		return 0, nil
 	}
-	// A one-record batch — every Observe is one — lays its chunk out on
-	// the stack rather than in a pooled scratch.
-	var one struct {
-		groups  [1]batchGroup
-		of      [1]int32
-		runs    [1]replayRecord
-		entries [1]wal.Entry
-	}
-	sc := &chunkScratch{one.groups[:], one.of[:], one.runs[:], one.entries[:]}
+	var sc *chunkScratch // a one-record batch (every Observe is one) needs none
 	if len(records) > 1 {
-		b := batchScratchPool.Get().(*batchScratch)
-		defer batchScratchPool.Put(b)
-		sc = &chunkScratch{b.groups[:], b.of[:], b.runs[:], b.entries[:]}
+		sc = chunkScratchPool.Get().(*chunkScratch)
+		defer chunkScratchPool.Put(sc)
 	}
 	for base := 0; base < len(records); base += observeBatchChunk {
 		end := min(base+observeBatchChunk, len(records))
@@ -752,121 +738,135 @@ func (s *Service) ObserveBatch(records []ObserveRecord) (applied int, err error)
 	return applied, nil
 }
 
-// observeChunk groups, logs, and applies one chunk, returning the chunk's
-// last log sequence (0 when no WAL is attached). The chunk is atomic:
-// either every record is appended (one AppendBatch) and applied, or none
-// is. All affected stream write locks are held, in key order, across
+// observeChunk resolves, groups, logs, and applies one chunk, returning
+// its last log sequence (0 when no WAL is attached). The chunk is atomic:
+// either every record is appended (one AppendBatch, in chunk order) and
+// applied, or none is. All affected stream write locks are held across
 // append-then-apply, so a concurrent snapshot's (state, lastSeq) view
-// stays consistent and compaction can never delete a segment whose records
-// some stream has not yet folded in. Evicted streams rehydrate after the
-// locks are taken and before anything is appended, so a rehydration
-// failure applies nothing.
+// stays consistent and compaction can never delete a segment whose
+// records some stream has not yet folded in. Evicted streams rehydrate
+// after the locks are taken and before anything is appended, so a
+// rehydration failure applies nothing.
+//
+// Lock order: observeChunk is the only holder of several stream locks,
+// and it takes them in ascending lockID, a strict global order (lock IDs
+// are unique and fixed), so concurrent batches over overlapping streams
+// cannot deadlock. Every other path holds one stream lock at a time.
 func (s *Service) observeChunk(chunk []ObserveRecord, sc *chunkScratch) (uint64, error) {
-	groups := s.layoutChunk(chunk, sc)
-	runs := sc.runs[:len(chunk)]
-	for gi := range groups {
-		groups[gi].st.mu.Lock()
+	if len(chunk) == 1 {
+		return s.observeOne(chunk[0])
+	}
+	// Records resolve in chunk order, so streams are created (and seeded)
+	// in first-appearance order, under one routing mode per chunk; a
+	// record with the previous record's shape reuses its stream. seq holds
+	// the chunk offset until the append assigns sequence numbers.
+	byProcs := s.byProcs.Load()
+	sc.recs = slices.Grow(sc.recs[:0], len(chunk))[:len(chunk)]
+	var st *stream
+	prev := -1
+	for i := range chunk {
+		slot := cacheSlotWhole
+		if byProcs {
+			slot = int(CategoryOf(chunk[i].Procs))
+		}
+		if slot != prev || chunk[i].Queue != chunk[i-1].Queue {
+			st, prev = s.streamForSlot(chunk[i].Queue, slot), slot
+		}
+		sc.recs[i] = replayRecord{st: st, wait: chunk[i].WaitSeconds, seq: uint64(i)}
+	}
+	sc.groupRuns(sc.recs)
+	// Each order entry packs a group's lock ID above its index (a chunk
+	// has at most 256 groups), so a plain integer sort gives lock order.
+	sc.order = sc.order[:0]
+	for g, st := range sc.streams {
+		sc.order = append(sc.order, st.lockID<<8|uint64(g))
+	}
+	slices.Sort(sc.order)
+	for _, o := range sc.order {
+		sc.streams[o&0xff].mu.Lock()
 	}
 	defer func() {
-		for gi := range groups {
-			groups[gi].st.mu.Unlock()
+		for _, st := range sc.streams {
+			st.mu.Unlock()
 		}
 	}()
-	for gi := range groups {
-		if groups[gi].st.fc == nil {
-			if err := groups[gi].st.rehydrateLocked(s); err != nil {
+	for _, st := range sc.streams {
+		if st.fc == nil {
+			if err := st.rehydrateLocked(s); err != nil {
 				return 0, err
 			}
 		}
 	}
+	var last uint64
 	if s.wal == nil {
-		for i := range runs {
-			runs[i].seq = 0
+		for i := range sc.sorted {
+			sc.sorted[i].seq = 0 // no log, no sequence numbers
 		}
-		for gi := range groups {
-			g := &groups[gi]
-			g.st.applyRunLocked(s, runs[g.start:g.end], true)
+	} else {
+		// Records carry the WAL's coarse clock (exact to the last sync):
+		// the timestamp is forensic — recovery replays by sequence, not
+		// time — and a per-chunk time syscall would be pure overhead.
+		now := s.wal.CoarseUnixNanos()
+		sc.entries = sc.entries[:0]
+		for _, r := range sc.recs {
+			sc.entries = append(sc.entries, wal.Entry{Key: r.st.key, Wait: r.wait, UnixNanos: now})
 		}
-		return 0, nil
+		firstSeq, err := s.logEntries(sc.entries)
+		if err != nil {
+			return 0, err
+		}
+		for i := range sc.sorted {
+			sc.sorted[i].seq += firstSeq
+		}
+		last = firstSeq + uint64(len(chunk)) - 1
 	}
-	entries := sc.entries[:len(chunk)]
-	// Records carry the WAL's coarse clock (exact to the last sync):
-	// the timestamp is forensic — recovery replays by sequence, not
-	// time — and a per-chunk time syscall would be pure overhead.
-	now := s.wal.CoarseUnixNanos()
-	for _, g := range groups {
-		for _, r := range runs[g.start:g.end] {
-			entries[r.seq] = wal.Entry{Key: g.st.key, Wait: r.wait, UnixNanos: now}
+	for g, st := range sc.streams {
+		st.applyRunLocked(s, sc.sorted[sc.starts[g]:sc.starts[g+1]], true)
+	}
+	return last, nil
+}
+
+// observeOne is observeChunk for a one-record chunk (every Observe): the
+// record is its own run, so it needs no grouping, lock order or scratch.
+func (s *Service) observeOne(r ObserveRecord) (uint64, error) {
+	st := s.streamForSlot(r.Queue, s.slotOf(r.Procs))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.fc == nil {
+		if err := st.rehydrateLocked(s); err != nil {
+			return 0, err
 		}
 	}
+	run := [1]replayRecord{{wait: r.WaitSeconds}}
+	if s.wal != nil {
+		entry := [1]wal.Entry{{Key: st.key, Wait: r.WaitSeconds, UnixNanos: s.wal.CoarseUnixNanos()}}
+		var err error
+		if run[0].seq, err = s.logEntries(entry[:]); err != nil {
+			return 0, err
+		}
+	}
+	st.applyRunLocked(s, run[:], true)
+	return run[0].seq, nil
+}
+
+// logEntries appends a chunk's entries to the WAL as one batch and
+// returns the first one's sequence number. A failed append latches the
+// service read-only; the next successful one clears the latch.
+func (s *Service) logEntries(entries []wal.Entry) (uint64, error) {
 	firstSeq, err := s.wal.AppendBatch(entries)
 	if err != nil {
 		s.walAppendErrors.Inc()
 		s.readonly.Set(1)
 		return 0, fmt.Errorf("%w: %v", ErrReadOnly, err)
 	}
-	s.walAppends.Add(uint64(len(chunk)))
+	s.walAppends.Add(uint64(len(entries)))
 	// Clear the read-only latch only when it is actually set: an
 	// unconditional store would bounce the gauge's cacheline between
 	// every observing core.
 	if s.readonly.Value() != 0 {
 		s.readonly.Set(0)
 	}
-	for i := range runs {
-		runs[i].seq += firstSeq
-	}
-	for gi := range groups {
-		g := &groups[gi]
-		g.st.applyRunLocked(s, runs[g.start:g.end], true)
-	}
-	return firstSeq + uint64(len(chunk)) - 1, nil
-}
-
-// layoutChunk groups a chunk by stream and lays it out in sc.runs as
-// per-stream runs (a counting sort, so each run keeps chunk order). A
-// record's seq holds its chunk offset until the append assigns sequence
-// numbers; its st stays nil, as a run's stream is its group's. The groups
-// come back in key order, a strict global lock order (the slot set is
-// fixed for the chunk), so concurrent batches cannot deadlock.
-func (s *Service) layoutChunk(chunk []ObserveRecord, sc *chunkScratch) []batchGroup {
-	if len(chunk) == 1 { // already a single run: nothing to group or sort
-		sc.groups[0] = batchGroup{st: s.streamForSlot(chunk[0].Queue, s.slotOf(chunk[0].Procs)), end: 1}
-		sc.runs[0] = replayRecord{wait: chunk[0].WaitSeconds}
-		return sc.groups[:1]
-	}
-	byProcs := s.byProcs.Load()
-	groups, of := sc.groups[:0], sc.of[:len(chunk)]
-	for i := range chunk {
-		slot := cacheSlotWhole
-		if byProcs {
-			slot = int(CategoryOf(chunk[i].Procs))
-		}
-		gi := 0
-		for gi < len(groups) && (groups[gi].slot != slot || groups[gi].queue != chunk[i].Queue) {
-			gi++
-		}
-		if gi == len(groups) {
-			groups = groups[:gi+1]
-			groups[gi].queue, groups[gi].slot, groups[gi].end = chunk[i].Queue, slot, 0
-		}
-		groups[gi].end++ // the group's size until the layout below
-		of[i] = int32(gi)
-	}
-	var at int32
-	for gi := range groups {
-		g := &groups[gi]
-		g.st = s.streamForSlot(g.queue, g.slot)
-		g.start, g.end, at = at, at, at+g.end
-	}
-	for i, gi := range of {
-		g := &groups[gi]
-		sc.runs[g.end] = replayRecord{wait: chunk[i].WaitSeconds, seq: uint64(i)}
-		g.end++
-	}
-	if len(groups) > 1 {
-		slices.SortFunc(groups, func(a, b batchGroup) int { return strings.Compare(a.st.key, b.st.key) })
-	}
-	return groups
+	return firstSeq, nil
 }
 
 // status renders the stream's published snapshot as a StreamStatus,
@@ -1102,15 +1102,14 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 // resolved to its stream on its first record, in log order (so stream
 // creation, and with it seed assignment, matches record-at-a-time
 // replay), and each record is handed to the apply worker its key hashes
-// to. A stream belongs to exactly one worker,
-// so within a stream the log's order is preserved exactly, and streams
-// are independent, so recovered state matches record-at-a-time replay.
-// Each worker groups a batch of replayBatch(GOMAXPROCS) records by stream
-// and folds every group as one run: one lock acquisition, one settle and one
-// publication (applyRunLocked). A stream's records may straddle batches;
-// each batch's share is its own run, still in log order. A cold-adopted
-// stream (sharded restore) rehydrates before its first group applies;
-// the first rehydration failure is returned after every other stream has
+// to. A stream belongs to exactly one worker, so within a stream the
+// log's order is preserved exactly, and streams are independent, so
+// recovered state matches record-at-a-time replay. Each worker folds a
+// batch of replayBatch(GOMAXPROCS) records as per-stream runs
+// (replayScratch.apply); a stream's records may straddle batches, each
+// batch's share its own run. A cold-adopted stream (sharded restore)
+// rehydrates before the first run that reaches past its lastSeq; the
+// first rehydration failure is returned after every other stream has
 // replayed.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 	workers := runtime.GOMAXPROCS(0)

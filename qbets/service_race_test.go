@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -320,5 +322,73 @@ func TestServerConcurrentBatchObserve(t *testing.T) {
 	}
 	if want := goroutines * batches * batchSize; total != want {
 		t.Errorf("ingested %d observations, want %d", total, want)
+	}
+}
+
+// TestObserveBatchOpposingLockOrders races multi-stream batches over
+// overlapping stream sets, half of the goroutines listing their streams
+// in ascending key order and half in descending, with the WAL on and an
+// evictor cycling the streams cold. A chunk holds all of its streams'
+// locks at once, so without one global lock order two such batches
+// deadlock; every batch must finish within the deadline, and every
+// record must be logged exactly once.
+func TestObserveBatchOpposingLockOrders(t *testing.T) {
+	w, err := wal.Open("wal", wal.Options{FS: wal.NewMemFS(), Mode: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	svc := NewService(true, WithSeed(5))
+	if _, err := svc.RecoverWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	round := siteRecords(64, 1, 1) // one record per stream, queue order
+	slices.SortFunc(round, func(a, b ObserveRecord) int { return strings.Compare(a.Queue, b.Queue) })
+
+	const goroutines, batches, span = 6, 150, 48
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		batch := make([]ObserveRecord, span)
+		for j := range batch {
+			batch[j] = round[(8*g+j)%len(round)]
+		}
+		if g%2 == 1 {
+			slices.Reverse(batch)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if _, err := svc.ObserveBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	evicted := make(chan struct{})
+	go func() {
+		defer close(evicted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.EvictToCap(0)
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("multi-stream batches over overlapping streams deadlocked")
+	}
+	close(stop)
+	<-evicted
+	if got, want := svc.Durability().Appends, uint64(goroutines*batches*span); got != want {
+		t.Fatalf("logged %d records, want %d", got, want)
 	}
 }

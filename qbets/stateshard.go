@@ -537,6 +537,7 @@ func (p *coreParser) float() (float64, bool) {
 func (s *Service) adoptColdStream(key string, core shardStream) *stream {
 	st := &stream{
 		key:          key,
+		lockID:       streamLockIDs.Add(1),
 		hit:          obs.NewRollingRate(hitRateWindow),
 		cold:         core.State,
 		trimsSeen:    core.Trims,
