@@ -1,7 +1,7 @@
 # BENCH_JSON is where `make bench` drops its machine-readable results;
 # CI uploads it as an artifact so the perf trajectory is recorded per PR.
 # BENCH_BASELINE is what `make bench-compare` diffs against.
-BENCH_JSON ?= BENCH_PR22.json
+BENCH_JSON ?= BENCH_PR23.json
 BENCH_BASELINE ?= BENCH_PR10.json
 
 .PHONY: build test race crash replication-crash cover hypo hypo-full bench bench-compare

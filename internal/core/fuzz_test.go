@@ -7,21 +7,27 @@ import "testing"
 // exactly the blobs the reflective reference decoder does, restoring the
 // same state from each accepted one.
 func FuzzUnmarshalBinary(f *testing.F) {
-	valid := func() []byte {
+	valid := func(frac float64) []byte {
 		b := New(Config{})
 		for i := 0; i < 100; i++ {
-			b.Observe(float64(i), false)
+			b.Observe(float64(i)+frac, false)
 		}
 		blob, _ := b.MarshalBinary()
 		return blob
-	}()
-	f.Add(valid)
+	}
+	validV2, validV1 := valid(0), valid(0.5)
+	f.Add(validV2)
+	f.Add(validV1)
 	f.Add([]byte("BMBP"))
 	f.Add([]byte{})
-	f.Add(valid[:len(valid)/2])
+	f.Add(validV2[:len(validV2)/2])
+	f.Add(validV1[:len(validV1)/2])
 	f.Add(hostileHistoryBlob())
+	f.Add(uvarintBlob(2, 0x01, 0x85, 0x80, 0x00)) // a non-minimal uvarint
 	golden, _ := goldenPredictor().MarshalBinary()
 	f.Add(golden)
+	goldenV2, _ := goldenIntegralPredictor().MarshalBinary()
+	f.Add(goldenV2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := New(Config{})
 		err := b.UnmarshalBinary(data)

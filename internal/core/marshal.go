@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/ostat"
@@ -18,24 +20,36 @@ import (
 //
 // The format is versioned and self-contained: configuration, calibration
 // state, and the observation-ordered history (the order statistics are
-// rebuilt on load). Every field is little-endian:
+// rebuilt on load). Every fixed-width field is little-endian:
 //
 //	"BMBP" | u16 version
 //	f64 quantile | f64 confidence | i32 mode | u8 noTrim
 //	i64 fixedRareThreshold | i64 maxHistory | i64 seed
 //	i64 rareThreshold | i64 consecMisses | i64 trims | i64 observations
 //	i64 tableLen | tableLen × (f64 maxAutocorr | i64 threshold)
-//	i64 histLen | histLen × f64
+//	i64 histLen | history
+//
+// The two versions differ only in the history. Version 1 writes each value
+// as an f64 (histLen × 8 bytes). Version 2 writes each as a minimal-length
+// uvarint (1 byte below 128, 2 below 16,384, 3 below 2^21), and is what
+// MarshalBinary writes whenever every live value is a whole number in
+// [0, 2^53] with its sign bit clear: scheduler logs record waits in whole
+// seconds, so that is the common case. Any other history keeps version 1,
+// byte for byte. The decoder reads both, and rejects a version-2 value
+// that is not minimally encoded or exceeds 2^53, so a version-2 history
+// has exactly one encoding.
 //
 // Eviction, state saves and replica snapshots encode every stream through
 // MarshalBinary, so both directions work straight on the byte slice: the
 // encoder sizes the blob exactly and fills it in one allocation, and the
 // decoder checks each declared length against the bytes actually present
-// before allocating for it.
+// before allocating for it (a version-2 value takes at least one byte).
 
 const (
-	marshalMagic   = "BMBP"
-	marshalVersion = 1
+	marshalMagic = "BMBP"
+	// versionF64 and versionUvarint are the two history encodings.
+	versionF64     = 1
+	versionUvarint = 2
 
 	// headerLen covers magic, version, config and calibration: everything
 	// before the rare-event table length.
@@ -43,7 +57,49 @@ const (
 	rareEntryLen = 8 + 8
 	maxTableLen  = 1024
 	maxHistLen   = 1 << 31
+	// maxUvarintWait is the largest value version 2 stores: every whole
+	// number up to it is exact in a float64.
+	maxUvarintWait = 1 << 53
 )
+
+// uvarintHistoryLen returns the bytes h takes as version-2 uvarints, or
+// false if some value must be stored as an f64. For a float64 with its
+// sign bit clear, bit patterns order as the values do, and NaN and +Inf
+// sort above 2^53, so the first test admits exactly the values in
+// [0, 2^53] with no sign bit (so no −0); the round trip through int64,
+// exact in that range, admits the whole numbers among them.
+func uvarintHistoryLen(h []float64) (int, bool) {
+	n := 0
+	for _, v := range h {
+		if math.Float64bits(v) > math.Float64bits(maxUvarintWait) {
+			return 0, false
+		}
+		u := int64(v)
+		if float64(u) != v {
+			return 0, false
+		}
+		n += (bits.Len64(uint64(u)|1) + 6) / 7
+	}
+	return n, true
+}
+
+// historyCap is the capacity a history reaches after n one-at-a-time
+// appends from empty under append's growth rule: doubling up to 256, then
+// a quarter plus 192 per step (the allocator's size-class rounding is
+// applied once, by slices.Grow). A decoded history gets it so that a
+// rehydrated stream holds what it held before eviction, and its next write
+// does not double an exact-length buffer.
+func historyCap(n int) int {
+	c := min(n, 1)
+	for c < n {
+		if c < 256 {
+			c *= 2
+		} else {
+			c += (c + 3*256) / 4
+		}
+	}
+	return c
+}
 
 // defaultRareTableBlob is DefaultRareEventTable's encoded entries. A
 // decoded table whose bytes match it is DefaultRareEventTable, so restored
@@ -62,9 +118,13 @@ func appendRareTable(buf []byte, t RareEventTable) []byte {
 func (b *BMBP) MarshalBinary() ([]byte, error) {
 	le := binary.LittleEndian
 	win := b.window()
-	buf := make([]byte, 0, headerLen+8+rareEntryLen*len(b.cfg.RareTable)+8+8*len(win))
+	version, histBytes := uint16(versionF64), 8*len(win)
+	if n, ok := uvarintHistoryLen(win); ok {
+		version, histBytes = versionUvarint, n
+	}
+	buf := make([]byte, 0, headerLen+8+rareEntryLen*len(b.cfg.RareTable)+8+histBytes)
 	buf = append(buf, marshalMagic...)
-	buf = le.AppendUint16(buf, marshalVersion)
+	buf = le.AppendUint16(buf, version)
 	buf = le.AppendUint64(buf, math.Float64bits(b.cfg.Quantile))
 	buf = le.AppendUint64(buf, math.Float64bits(b.cfg.Confidence))
 	buf = le.AppendUint32(buf, uint32(int32(b.cfg.Mode)))
@@ -86,6 +146,12 @@ func (b *BMBP) MarshalBinary() ([]byte, error) {
 	buf = appendRareTable(buf, b.cfg.RareTable)
 
 	buf = le.AppendUint64(buf, uint64(len(win)))
+	if version == versionUvarint {
+		for _, v := range win {
+			buf = binary.AppendUvarint(buf, uint64(int64(v)))
+		}
+		return buf, nil
+	}
 	for _, v := range win {
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
@@ -127,6 +193,58 @@ func (r *blobReader) u64() uint64 {
 func (r *blobReader) i64() int64   { return int64(r.u64()) }
 func (r *blobReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// newHistory returns a zeroed n-value history with historyCap(n) room.
+func newHistory(n int) []float64 {
+	return slices.Grow([]float64(nil), historyCap(n))[:n]
+}
+
+// f64History decodes a version-1 history of n values. The declared length
+// is checked against the bytes present before the history is allocated, so
+// a corrupt length costs nothing.
+func (r *blobReader) f64History(n int) ([]float64, error) {
+	raw := r.next(n * 8)
+	if r.err != nil {
+		return nil, fmt.Errorf("core: truncated history: %v", r.err)
+	}
+	hist := newHistory(n)
+	for i := range hist {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if math.IsNaN(v) || v < 0 {
+			return nil, fmt.Errorf("core: corrupt history value %g", v)
+		}
+		hist[i] = v
+	}
+	return hist, nil
+}
+
+// uvarintHistory decodes a version-2 history of n values. Every value
+// takes at least one byte, so n is checked against the bytes present
+// before the history is allocated.
+func (r *blobReader) uvarintHistory(n int) ([]float64, error) {
+	if n > len(r.b) {
+		return nil, fmt.Errorf("core: truncated history: %v", io.ErrUnexpectedEOF)
+	}
+	hist := newHistory(n)
+	p := r.b
+	for i := range hist {
+		u, k := binary.Uvarint(p)
+		switch {
+		case k == 0:
+			return nil, fmt.Errorf("core: truncated history: %v", io.ErrUnexpectedEOF)
+		case k < 0:
+			return nil, fmt.Errorf("core: corrupt history: value %d overflows 64 bits", i)
+		case k > 1 && p[k-1] == 0:
+			return nil, fmt.Errorf("core: corrupt history: value %d is not minimally encoded", i)
+		case u > maxUvarintWait:
+			return nil, fmt.Errorf("core: corrupt history value %d: above 2^53", u)
+		}
+		hist[i] = float64(u)
+		p = p[k:]
+	}
+	r.b = p
+	return hist, nil
+}
+
 // UnmarshalBinary restores a predictor serialized by MarshalBinary,
 // replacing the receiver's state entirely.
 func (b *BMBP) UnmarshalBinary(data []byte) error {
@@ -141,7 +259,7 @@ func (b *BMBP) UnmarshalBinary(data []byte) error {
 	if r.err != nil {
 		return fmt.Errorf("core: truncated state: %v", r.err)
 	}
-	if version != marshalVersion {
+	if version != versionF64 && version != versionUvarint {
 		return fmt.Errorf("core: unsupported state version %d", version)
 	}
 
@@ -200,19 +318,13 @@ func (b *BMBP) UnmarshalBinary(data []byte) error {
 	if histLen < 0 || histLen > maxHistLen {
 		return fmt.Errorf("core: corrupt history length %d", histLen)
 	}
-	// The declared length is checked against the bytes present before the
-	// history is allocated, so a corrupt length costs nothing.
-	raw := r.next(int(histLen) * 8)
-	if r.err != nil {
-		return fmt.Errorf("core: truncated history: %v", r.err)
+	decode := r.f64History
+	if version == versionUvarint {
+		decode = r.uvarintHistory
 	}
-	hist := make([]float64, histLen)
-	for i := range hist {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("core: corrupt history value %g", v)
-		}
-		hist[i] = v
+	hist, err := decode(int(histLen))
+	if err != nil {
+		return err
 	}
 
 	// Rebuild derived structures. The order statistics come back via an

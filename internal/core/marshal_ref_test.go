@@ -11,11 +11,24 @@ import (
 )
 
 // The reflective codec below is the state format's reference
-// implementation: one binary.Write or binary.Read per field. MarshalBinary
-// and UnmarshalBinary must agree with it byte for byte and blob for blob
-// (marshal_test.go and FuzzUnmarshalBinary check both). It decodes a
-// declared history length by allocating it before reading any value, so it
-// is only ever fed blobs whose declared lengths fit in the data.
+// implementation: one binary.Write or binary.Read per field, and one
+// binary.AppendUvarint or binary.ReadUvarint per version-2 history value.
+// MarshalBinary and UnmarshalBinary must agree with it byte for byte and
+// blob for blob (marshal_test.go and FuzzUnmarshalBinary check both). It
+// decodes a declared history length by allocating it before reading any
+// value, so it is only ever fed blobs whose declared lengths fit in the
+// data.
+
+// refUvarintHistory reports whether every value of h is a whole number in
+// [0, 2^53] without a sign bit: the histories written as version 2.
+func refUvarintHistory(h []float64) bool {
+	for _, v := range h {
+		if math.IsNaN(v) || math.Signbit(v) || v > 1<<53 || v != math.Floor(v) {
+			return false
+		}
+	}
+	return true
+}
 
 func refMarshalBinary(b *BMBP) []byte {
 	var buf bytes.Buffer
@@ -23,7 +36,13 @@ func refMarshalBinary(b *BMBP) []byte {
 	w := func(v interface{}) {
 		_ = binary.Write(&buf, binary.LittleEndian, v)
 	}
-	w(uint16(marshalVersion))
+	win := b.window()
+	uvarints := refUvarintHistory(win)
+	if uvarints {
+		w(uint16(2))
+	} else {
+		w(uint16(1))
+	}
 	w(b.cfg.Quantile)
 	w(b.cfg.Confidence)
 	w(int32(b.cfg.Mode))
@@ -43,10 +62,13 @@ func refMarshalBinary(b *BMBP) []byte {
 		w(int64(e.Threshold))
 	}
 
-	win := b.window()
 	w(int64(len(win)))
 	for _, v := range win {
-		w(v)
+		if uvarints {
+			buf.Write(binary.AppendUvarint(nil, uint64(v)))
+		} else {
+			w(v)
+		}
 	}
 	return buf.Bytes()
 }
@@ -64,7 +86,7 @@ func refUnmarshalBinary(b *BMBP, data []byte) error {
 	if err := r(&version); err != nil {
 		return fmt.Errorf("core: truncated state: %v", err)
 	}
-	if version != marshalVersion {
+	if version != 1 && version != 2 {
 		return fmt.Errorf("core: unsupported state version %d", version)
 	}
 
@@ -115,6 +137,21 @@ func refUnmarshalBinary(b *BMBP, data []byte) error {
 	}
 	hist := make([]float64, histLen)
 	for i := range hist {
+		if version == 2 {
+			before := buf.Len()
+			u, err := binary.ReadUvarint(buf)
+			if err != nil {
+				return fmt.Errorf("core: truncated or overflowing history value: %v", err)
+			}
+			if read := before - buf.Len(); read != len(binary.AppendUvarint(nil, u)) {
+				return fmt.Errorf("core: history value %d takes %d bytes, not minimal", u, read)
+			}
+			if u > 1<<53 {
+				return fmt.Errorf("core: corrupt history value %d", u)
+			}
+			hist[i] = float64(u)
+			continue
+		}
 		if err := r(&hist[i]); err != nil {
 			return fmt.Errorf("core: truncated history: %v", err)
 		}
@@ -155,6 +192,8 @@ func firstErr(errs ...error) error {
 // refDecodeSafe reports whether refUnmarshalBinary can be run on data
 // without a large allocation: every length it would allocate for before
 // reading is either rejected by its bound checks or covered by the data.
+// A version-2 value takes at least one byte, so a version-2 history length
+// is covered only by as many bytes after it.
 func refDecodeSafe(data []byte) bool {
 	const tableLenAt = headerLen
 	if len(data) < tableLenAt+8 {
@@ -169,5 +208,8 @@ func refDecodeSafe(data []byte) bool {
 		return true
 	}
 	histLen := int64(binary.LittleEndian.Uint64(data[histLenAt:]))
+	if binary.LittleEndian.Uint16(data[len(marshalMagic):]) == 2 {
+		return histLen <= int64(len(data)-histLenAt-8)
+	}
 	return histLen <= int64(len(data))
 }

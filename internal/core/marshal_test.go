@@ -158,9 +158,165 @@ func TestMarshalGolden(t *testing.T) {
 	assertSameState(t, restored, want)
 }
 
+// goldenIntegralPredictor is goldenPredictor's configuration fed
+// whole-second waits, so it encodes as version 2: its live window holds a
+// zero and uvarints of one, two, three and eight bytes (2^53, the largest
+// value version 2 stores).
+func goldenIntegralPredictor() *BMBP {
+	b := New(Config{
+		Quantile: 0.9, Confidence: 0.95, Mode: ModeExact, MaxHistory: 5, Seed: 3,
+		FixedRareThreshold: 2, RareTable: RareEventTable{{MaxAutocorr: 0.5, Threshold: 6}},
+	})
+	for i, v := range []float64{12, 0, 300, 7, 200000, 1 << 53} {
+		b.Observe(v, i%2 == 1)
+	}
+	b.FinishTraining()
+	return b
+}
+
+// goldenBlobV2 is goldenIntegralPredictor's encoding, produced by the
+// reference encoder.
+const goldenBlobV2 = "424d42500200cdccccccccccec3f666666666666ee3f01000000000200000000000000" +
+	"0500000000000000030000000000000002000000000000000100000000000000000000" +
+	"000000000006000000000000000100000000000000000000000000e03f060000000000" +
+	"00000500000000000000" + "00" + "ac02" + "07" + "c09a0c" + "8080808080808010"
+
+func TestMarshalGoldenV2(t *testing.T) {
+	b := goldenIntegralPredictor()
+	got, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(got); h != goldenBlobV2 {
+		t.Fatalf("encoding drifted from the golden blob:\n got %s\nwant %s", h, goldenBlobV2)
+	}
+	if !bytes.Equal(got, refMarshalBinary(b)) {
+		t.Fatal("encoder disagrees with the reference encoder")
+	}
+	golden, _ := hex.DecodeString(goldenBlobV2)
+	restored := New(Config{})
+	if err := restored.UnmarshalBinary(golden); err != nil {
+		t.Fatal(err)
+	}
+	want := New(Config{})
+	if err := refUnmarshalBinary(want, golden); err != nil {
+		t.Fatal(err)
+	}
+	assertSameState(t, restored, want)
+}
+
+// TestMarshalVersionChoice: only a history of whole numbers in [0, 2^53]
+// without a sign bit is written as version 2. −0 and 2^53 + 2 (a whole
+// number version 2 cannot store) keep version 1, and every value round-
+// trips bit for bit.
+func TestMarshalVersionChoice(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hist    []float64
+		version byte
+	}{
+		{"empty", nil, 2},
+		{"whole seconds", []float64{0, 1, 127, 128, 86400}, 2},
+		{"2^53", []float64{3, 1 << 53}, 2},
+		{"fraction", []float64{3, 0.5}, 1},
+		{"negative zero", []float64{3, math.Copysign(0, -1)}, 1},
+		{"2^53 + 2", []float64{3, 1<<53 + 2}, 1},
+		{"+Inf", []float64{3, math.Inf(1)}, 1},
+	} {
+		b := New(Config{})
+		for _, v := range tc.hist {
+			b.Observe(v, false)
+		}
+		blob, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[4] != tc.version {
+			t.Errorf("%s: written as version %d, want %d", tc.name, blob[4], tc.version)
+		}
+		if !bytes.Equal(blob, refMarshalBinary(b)) {
+			t.Errorf("%s: encoder disagrees with the reference encoder", tc.name)
+		}
+		restored := New(Config{})
+		if err := restored.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := restored.History()
+		for i, v := range b.History() {
+			if math.Float64bits(got[i]) != math.Float64bits(v) {
+				t.Errorf("%s: value %d restored as %g, want %g", tc.name, i, got[i], v)
+			}
+		}
+	}
+}
+
+// uvarintBlob is an empty predictor's version-2 blob with its history
+// length set to n and raw appended as the history bytes.
+func uvarintBlob(n uint64, raw ...byte) []byte {
+	blob, _ := New(Config{}).MarshalBinary()
+	binary.LittleEndian.PutUint64(blob[len(blob)-8:], n)
+	return append(blob, raw...)
+}
+
+// TestUnmarshalUvarintHistory: the version-2 decoder accepts exactly the
+// minimal uvarints of values up to 2^53, as the reference decoder does.
+func TestUnmarshalUvarintHistory(t *testing.T) {
+	max := binary.AppendUvarint(nil, 1<<53)
+	over := binary.AppendUvarint(nil, 1<<53+1)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		ok   bool
+	}{
+		{"two values", uvarintBlob(2, 0x05, 0xac, 0x02), true},
+		{"2^53", uvarintBlob(1, max...), true},
+		{"trailing bytes", uvarintBlob(1, 0x05, 0x07), true},
+		{"non-minimal zero", uvarintBlob(1, 0x80, 0x00), false},
+		{"non-minimal five", uvarintBlob(2, 0x01, 0x85, 0x80, 0x00), false},
+		{"above 2^53", uvarintBlob(1, over...), false},
+		{"overflows 64 bits", uvarintBlob(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), false},
+		{"cut mid-value", uvarintBlob(1, 0xac), false},
+		{"fewer values than declared", uvarintBlob(3, 0x01, 0xac, 0x02), false},
+		{"length above the bytes present", uvarintBlob(4, 0x01, 0x02, 0x03), false},
+	} {
+		err := New(Config{}).UnmarshalBinary(tc.blob)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if refErr := refUnmarshalBinary(New(Config{}), tc.blob); (refErr == nil) != tc.ok {
+			t.Errorf("%s: reference error %v, want ok=%v", tc.name, refErr, tc.ok)
+		}
+	}
+}
+
+// TestUnmarshalHistoryCapacity: a decoded history has the capacity append
+// growth gives a history of that length that was never encoded, so the
+// first write after a rehydration does not reallocate it. Up to 512 values
+// the two agree exactly (append doubles through the allocator's size
+// classes there).
+func TestUnmarshalHistoryCapacity(t *testing.T) {
+	for _, n := range []int{1, 59, 100, 128, 129, 300, 512} {
+		for _, frac := range []float64{0, 0.5} { // version 2 and version 1
+			b := New(Config{})
+			for i := 0; i < n; i++ {
+				b.Observe(float64(i)+frac, false)
+			}
+			blob, _ := b.MarshalBinary()
+			restored := New(Config{})
+			if err := restored.UnmarshalBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := cap(restored.hist), cap(b.hist); got != want {
+				t.Errorf("%d values (+%g): decoded capacity %d, never-encoded capacity %d", n, frac, got, want)
+			}
+		}
+	}
+}
+
 // randomPredictor builds a predictor in a random reachable state: random
-// config, optionally a custom rare-event table, and a history long enough
-// to calibrate, trim and slide a MaxHistory window.
+// config, optionally a custom rare-event table, a history long enough to
+// calibrate, trim and slide a MaxHistory window, and half the time
+// whole-second waits.
 func randomPredictor(rng *rand.Rand) *BMBP {
 	cfg := Config{
 		Quantile:   []float64{0, 0.5, 0.9, 0.95, 0.99}[rng.Intn(5)],
@@ -184,11 +340,16 @@ func randomPredictor(rng *rand.Rand) *BMBP {
 	b := New(cfg)
 	n := rng.Intn(600)
 	level := 1.0
+	wholeSeconds := rng.Intn(2) == 0 // encodes as version 2
 	for i := 0; i < n; i++ {
 		if rng.Intn(150) == 0 {
 			level *= 20 // a change point for the trim path to find
 		}
-		b.ObserveAuto(level * math.Exp(2*rng.NormFloat64()))
+		v := level * math.Exp(2*rng.NormFloat64())
+		if wholeSeconds {
+			v = math.Round(60 * v)
+		}
+		b.ObserveAuto(v)
 	}
 	return b
 }
@@ -281,9 +442,9 @@ func TestUnmarshalSharesDefaultRareTable(t *testing.T) {
 	}
 }
 
-// hostileHistoryBlob is an empty predictor's ~200-byte blob with its
-// history length rewritten to the largest accepted value, 1<<31: a decoder
-// that allocates before checking the bytes present asks for 16 GiB.
+// hostileHistoryBlob is an empty predictor's ~200-byte (version-2) blob
+// with its history length rewritten to the largest accepted value, 1<<31: a
+// decoder that allocates before checking the bytes present asks for 16 GiB.
 func hostileHistoryBlob() []byte {
 	blob, _ := New(Config{}).MarshalBinary()
 	binary.LittleEndian.PutUint64(blob[len(blob)-8:], maxHistLen)
@@ -295,9 +456,11 @@ func hostileHistoryBlob() []byte {
 // allocating for them.
 func TestUnmarshalHostileLengthAllocatesNothing(t *testing.T) {
 	hostile := hostileHistoryBlob()
+	hostileV1 := append([]byte(nil), hostile...)
+	hostileV1[4] = versionF64
 	table, _ := New(Config{}).MarshalBinary()
 	binary.LittleEndian.PutUint64(table[headerLen:], maxTableLen)
-	for name, blob := range map[string][]byte{"history": hostile, "table": table} {
+	for name, blob := range map[string][]byte{"history": hostile, "history v1": hostileV1, "table": table} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 10; i++ {
@@ -314,13 +477,23 @@ func TestUnmarshalHostileLengthAllocatesNothing(t *testing.T) {
 
 // BenchmarkBMBPCodec times one stream's eviction/rehydration round trip
 // halves on a 100-value history: marshal (every eviction, state save and
-// replica chunk) and unmarshal (every rehydration and restore).
+// replica chunk) and unmarshal (every rehydration and restore). The
+// top-level rows hold lognormal waits (version 1); the integral rows hold
+// the same waits in whole seconds (version 2), as scheduler logs record
+// them.
 func BenchmarkBMBPCodec(b *testing.B) {
-	p := New(Config{})
+	p, q := New(Config{}), New(Config{})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		p.ObserveAuto(math.Exp(2 * rng.NormFloat64()))
+		v := math.Exp(2 * rng.NormFloat64())
+		p.ObserveAuto(v)
+		q.ObserveAuto(math.Round(60 * v))
 	}
+	benchmarkCodec(b, p)
+	b.Run("integral", func(b *testing.B) { benchmarkCodec(b, q) })
+}
+
+func benchmarkCodec(b *testing.B, p *BMBP) {
 	blob, _ := p.MarshalBinary()
 	b.Run("marshal", func(b *testing.B) {
 		b.ReportAllocs()

@@ -68,6 +68,20 @@ func TestStructuralInvariants(t *testing.T) {
 			}
 		}
 	}
+	checkStructure(t, m, len(live))
+	// Separator bounds: every value reachable is <= the root's last sep.
+	max, _ := m.Max()
+	probe := max + 1
+	if got := m.Rank(probe); got != m.Len() {
+		t.Fatalf("Rank above max = %d, want %d", got, m.Len())
+	}
+}
+
+// checkStructure walks the whole tree: sizes sum correctly at every level,
+// separators increase, leaf entries stay sorted and positive, all leaves
+// sit at the same depth, and the tree holds live values.
+func checkStructure(t *testing.T, m *Multiset, live int) {
+	t.Helper()
 	var walk func(node, lvl int32) (count int32, depth int32)
 	walk = func(node, lvl int32) (int32, int32) {
 		if lvl > 1 {
@@ -114,14 +128,8 @@ func TestStructuralInvariants(t *testing.T) {
 		if int(count) != m.Len() {
 			t.Fatalf("walked %d values, Len() = %d", count, m.Len())
 		}
-		if int(count) != len(live) {
-			t.Fatalf("walked %d values, expected %d live", count, len(live))
+		if int(count) != live {
+			t.Fatalf("walked %d values, expected %d live", count, live)
 		}
-	}
-	// Separator bounds: every value reachable is <= the root's last sep.
-	max, _ := m.Max()
-	probe := max + 1
-	if got := m.Rank(probe); got != m.Len() {
-		t.Fatalf("Rank above max = %d, want %d", got, m.Len())
 	}
 }

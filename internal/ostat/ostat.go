@@ -25,6 +25,8 @@
 // node boundary and routing stays unambiguous.
 package ostat
 
+import "slices"
+
 const (
 	leafCap  = 64 // distinct values per leaf
 	innerCap = 32 // children per inner node
@@ -398,80 +400,108 @@ func (m *Multiset) Min() (float64, bool) { return m.Select(1) }
 // Max returns the largest value; ok is false when empty.
 func (m *Multiset) Max() (float64, bool) { return m.Select(m.Len()) }
 
+// Fill limits for BuildFromSorted: a built node holds at most seven
+// eighths of its capacity, so each has headroom before its first split.
+const (
+	buildLeafFill  = leafCap * 7 / 8
+	buildInnerFill = innerCap * 7 / 8
+)
+
 // BuildFromSorted replaces the multiset's contents with the given
 // ascending-sorted values in O(n), versus O(n log n) for n repeated
 // Inserts. It is what BMBP's change-point trim and serialized-state restore
-// use. Leaves are packed to three quarters full so a freshly built tree has
-// headroom before its first splits.
+// use. Each level is spread evenly over the fewest nodes that hold it at
+// most seven eighths full, so a built tree has headroom before its first
+// splits and holds no more nodes than inserting the same values one at a
+// time typically would. The level sizes follow from the count of distinct
+// values, so each arena is sized once (reusing its array when that fits)
+// and the build needs no temporaries: level k's nodes sit
+// contiguously in the arena, in value order, just after level k−1's.
 func (m *Multiset) BuildFromSorted(sorted []float64) {
-	m.Clear()
-	if len(sorted) == 0 {
-		return
-	}
-	m.total = len(sorted)
-	const fill = leafCap * 3 / 4
-
-	// Pack distinct values into leaves left to right.
-	kids := m.pathNode[:0] // reuse as the per-level child list
-	var sums []int32
-	var seps []float64
-	cur := int32(0) // Clear left leaf 0 as the empty root
-	lf := &m.leaves[cur]
-	var prev float64
+	distinct := 0
 	for i, v := range sorted {
-		if i > 0 && v < prev {
+		if i > 0 && v < sorted[i-1] {
 			panic("ostat: BuildFromSorted input not ascending")
 		}
-		if i > 0 && v == prev {
-			lf.counts[lf.n-1]++
-			continue
+		if i == 0 || v != sorted[i-1] {
+			distinct++
 		}
-		prev = v
-		if lf.n == fill {
-			kids = append(kids, cur)
-			sums = append(sums, lf.sum())
-			seps = append(seps, lf.vals[lf.n-1])
-			cur = m.allocLeaf()
-			lf = &m.leaves[cur]
-		}
-		lf.vals[lf.n], lf.counts[lf.n] = v, 1
-		lf.n++
 	}
-	kids = append(kids, cur)
-	sums = append(sums, lf.sum())
-	seps = append(seps, lf.vals[lf.n-1])
+	nLeaves := max(ceilDiv(distinct, buildLeafFill), 1)
+	nInners := 0
+	for n := nLeaves; n > 1; {
+		n = ceilDiv(n, buildInnerFill)
+		nInners += n
+	}
+	m.leaves = resize(m.leaves, nLeaves)
+	m.inners = resize(m.inners, nInners)
+	m.freeLeaf = m.freeLeaf[:0]
+	m.freeInner = m.freeInner[:0]
+	m.total = len(sorted)
+	m.root, m.height = 0, 1
 
-	// Build inner levels bottom-up until one root remains.
-	const ifill = innerCap * 3 / 4
-	for len(kids) > 1 {
-		var upKids []int32
-		var upSums []int32
-		var upSeps []float64
-		for at := 0; at < len(kids); {
-			w := len(kids) - at
-			if w > ifill {
-				w = ifill
+	// Leaf i takes the i-th even share of the distinct values.
+	at := 0
+	for i := range m.leaves {
+		lf := &m.leaves[i]
+		for want := evenShare(distinct, nLeaves, i); lf.n < int32(want); {
+			v := sorted[at]
+			lf.vals[lf.n] = v
+			for ; at < len(sorted) && sorted[at] == v; at++ {
+				lf.counts[lf.n]++
 			}
-			idx := m.allocInner()
-			in := &m.inners[idx]
-			in.n = int32(w)
-			var total int32
-			for c := 0; c < w; c++ {
-				in.kids[c] = kids[at+c]
-				in.size[c] = sums[at+c]
-				in.sep[c] = seps[at+c]
-				total += sums[at+c]
-			}
-			upKids = append(upKids, idx)
-			upSums = append(upSums, total)
-			upSeps = append(upSeps, in.sep[in.n-1])
-			at += w
+			lf.n++
 		}
-		kids, sums, seps = upKids, upSums, upSeps
-		m.height++
 	}
-	m.root = kids[0]
-	m.pathNode = m.pathNode[:0]
+
+	// Inner levels bottom-up: each takes the previous level's nodes, in
+	// order, as its children until one root remains.
+	kids, kidsAt, leafKids := nLeaves, 0, true
+	for at := 0; kids > 1; m.height++ {
+		parents := ceilDiv(kids, buildInnerFill)
+		for p := 0; p < parents; p++ {
+			in := &m.inners[at+p]
+			for c := evenShare(kids, parents, p); in.n < int32(c); in.n++ {
+				k := int32(kidsAt)
+				if leafKids {
+					lf := &m.leaves[k]
+					in.size[in.n], in.sep[in.n] = lf.sum(), lf.vals[lf.n-1]
+				} else {
+					child := &m.inners[k]
+					in.size[in.n], in.sep[in.n] = child.sum(), child.sep[child.n-1]
+				}
+				in.kids[in.n] = k
+				kidsAt++
+			}
+		}
+		m.root = int32(at + parents - 1)
+		kids, kidsAt, leafKids = parents, at, false
+		at += parents
+	}
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// evenShare is the size of part i when n items are split into parts parts
+// as evenly as possible, larger parts first.
+func evenShare(n, parts, i int) int {
+	if i < n%parts {
+		return n/parts + 1
+	}
+	return n / parts
+}
+
+// resize returns s with length n and every node zeroed. It reuses s's
+// array when that holds n nodes and no more than twice n; otherwise it
+// allocates once, at the allocator's size class for n nodes, so a trim
+// from a long history to a short one releases the long history's arena.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n || cap(s) > 2*n {
+		return slices.Grow(s[:0:0], n)[:n]
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // InOrder calls fn for each value in ascending order (repeated values are

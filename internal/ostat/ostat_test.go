@@ -239,3 +239,61 @@ func TestArenaGrowsExactly(t *testing.T) {
 		t.Fatalf("100 inserts: %d/%d leaves, %d inner nodes reserved, want 2/2 and 1", len(m.leaves), cap(m.leaves), cap(m.inners))
 	}
 }
+
+// TestBuildFromSorted checks bulk builds at sizes on both sides of a full
+// leaf and a full inner level: the tree holds every value in order, each
+// level is spread evenly within the build fill, the arenas hold the nodes
+// the build uses and a rebuild into them allocates nothing, and the tree
+// keeps working under inserts and deletes afterwards.
+func TestBuildFromSorted(t *testing.T) {
+	for _, distinct := range []int{0, 1, 56, 57, 100, 56 * 28, 56*28 + 1, 20000} {
+		var sorted []float64
+		for i := 0; i < distinct; i++ {
+			for r := 0; r <= i%3; r++ { // multiplicities 1 to 3
+				sorted = append(sorted, float64(i))
+			}
+		}
+		m := New(1)
+		m.Insert(-1) // leaves state a build must replace
+		m.BuildFromSorted(sorted)
+		checkStructure(t, m, len(sorted))
+		for k := 1; k <= len(sorted); k += 1 + len(sorted)/500 {
+			if v, ok := m.Select(k); !ok || v != sorted[k-1] {
+				t.Fatalf("%d distinct: Select(%d) = %g/%v, want %g", distinct, k, v, ok, sorted[k-1])
+			}
+		}
+		wantLeaves := max((distinct+buildLeafFill-1)/buildLeafFill, 1)
+		if len(m.leaves) != wantLeaves || len(m.freeLeaf) != 0 {
+			t.Fatalf("%d distinct: %d leaves (%d free), want %d", distinct, len(m.leaves), len(m.freeLeaf), wantLeaves)
+		}
+		for i := range m.leaves {
+			if n := m.leaves[i].n; n > buildLeafFill || (distinct > 0 && int(n) < distinct/wantLeaves) {
+				t.Fatalf("%d distinct: leaf %d holds %d values", distinct, i, n)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { m.BuildFromSorted(sorted) }); allocs != 0 {
+			t.Errorf("%d distinct: rebuilding into sized arenas allocated %.0f times", distinct, allocs)
+		}
+		m.Insert(0.5)
+		m.Insert(float64(distinct))
+		m.Delete(0.5)
+		checkStructure(t, m, len(sorted)+1)
+	}
+}
+
+// TestBuildFromSortedReleasesLargeArenas: BMBP's trim rebuilds a long
+// history's multiset from its last few values. The rebuilt tree must not
+// keep the long history's arenas (a 10,000-value tree's leaves are about
+// 140 KB).
+func TestBuildFromSortedReleasesLargeArenas(t *testing.T) {
+	m := New(1)
+	for i := 0; i < 10000; i++ {
+		m.Insert(float64(i * 7919 % 10000))
+	}
+	short := []float64{1, 2, 3, 5, 8, 13, 21, 34, 55}
+	m.BuildFromSorted(short)
+	checkStructure(t, m, len(short))
+	if cap(m.leaves) > 2*len(m.leaves) || cap(m.inners) > 2*len(m.inners) {
+		t.Fatalf("rebuilt %d values into arenas of %d leaves and %d inner nodes", len(short), cap(m.leaves), cap(m.inners))
+	}
+}

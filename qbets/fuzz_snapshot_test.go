@@ -1,6 +1,7 @@
 package qbets
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -141,16 +142,20 @@ func FuzzReplicaSnapshotChunk(f *testing.F) {
 // a stream whose summary fields disagree with its blob hydrated silently,
 // after which its published stats no longer matched its forecaster. Both
 // must report ErrCorruptState and leave the stream cold, serving the
-// snapshot it was adopted with.
+// snapshot it was adopted with. So must a blob of a state version this
+// binary does not read: a leader upgraded before its followers ships
+// blobs its followers adopt cold and fail on at the first write.
 func TestColdAdoptedCorruptStateIsReported(t *testing.T) {
 	var cores map[string]shardStream
 	if err := json.Unmarshal(realSnapshotChunk(t, true), &cores); err != nil {
 		t.Fatal(err)
 	}
-	undecodable, mismatched := cores["short/1-4"], cores["normal/65+"]
+	undecodable, mismatched, future := cores["short/1-4"], cores["normal/65+"], cores["normal/65+"]
 	undecodable.State = []byte("AAAA")
 	mismatched.Observations = 0
-	for name, core := range map[string]shardStream{"undecodable": undecodable, "mismatched": mismatched} {
+	future.State = append([]byte(nil), future.State...)
+	binary.LittleEndian.PutUint16(future.State[4:], 3) // the version after the magic
+	for name, core := range map[string]shardStream{"undecodable": undecodable, "mismatched": mismatched, "unknown version": future} {
 		chunk, err := json.Marshal(map[string]shardStream{"q/65+": core})
 		if err != nil {
 			t.Fatal(err)
