@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ostat"
 	"repro/internal/stats"
@@ -68,9 +68,7 @@ type BMBP struct {
 	// twice the window.
 	hist      []float64
 	histStart int
-	set       *ostat.Multiset // same multiset of values, ordered by value
-
-	scratch []float64 // sort buffer reused across trims/rebuilds
+	set       ostat.Multiset // same multiset of values, ordered by value
 
 	rareThreshold int // 0 until calibrated
 	consecMisses  int
@@ -91,7 +89,6 @@ func New(cfg Config) *BMBP {
 		cfg:        cfg,
 		minHistory: idx.MinHistory(),
 		idx:        idx,
-		set:        ostat.New(cfg.Seed + 1),
 		stale:      true,
 	}
 }
@@ -197,20 +194,24 @@ func (b *BMBP) trim() {
 		return
 	}
 	keep := w[len(w)-b.minHistory:]
-	// Rebuild the order statistics in O(n) from a sorted copy instead of
-	// n individual inserts.
-	if cap(b.scratch) < len(keep) {
-		b.scratch = make([]float64, 0, 2*len(keep))
-	}
-	b.scratch = append(b.scratch[:0], keep...)
-	sort.Float64s(b.scratch)
-	b.set.BuildFromSorted(b.scratch)
+	rebuildSet(&b.set, keep)
 	// Copy to release the large backing array.
 	b.hist = append(make([]float64, 0, b.minHistory*2), keep...)
 	b.histStart = 0
 	b.consecMisses = 0
 	b.trims++
 	b.stale = true
+}
+
+// rebuildSet replaces set's contents with vals by an O(n) bulk build from
+// a sorted copy instead of n individual inserts. The copy is not kept: up
+// to 256 values (the paper's q = C = 0.95 keeps 59 at a trim) it lives on
+// the stack, so neither a trim nor a rehydration allocates for it.
+func rebuildSet(set *ostat.Multiset, vals []float64) {
+	var buf [256]float64
+	sorted := append(buf[:0], vals...)
+	slices.Sort(sorted)
+	set.BuildFromSorted(sorted)
 }
 
 // Refit recomputes the current bound from the history. The evaluation

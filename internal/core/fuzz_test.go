@@ -1,11 +1,15 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzUnmarshalBinary: state restoration must never panic or accept
 // structurally invalid blobs silently, and it must accept and reject
 // exactly the blobs the reflective reference decoder does, restoring the
-// same state from each accepted one.
+// same state from each accepted one. An accepted version-3 blob is the one
+// encoding of its state, so it re-encodes to itself.
 func FuzzUnmarshalBinary(f *testing.F) {
 	valid := func(frac float64) []byte {
 		b := New(Config{})
@@ -15,19 +19,28 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		blob, _ := b.MarshalBinary()
 		return blob
 	}
-	validV2, validV1 := valid(0), valid(0.5)
-	f.Add(validV2)
-	f.Add(validV1)
+	validUvarint, validF64 := valid(0), valid(0.5)
+	f.Add(validUvarint)
+	f.Add(validF64)
+	f.Add(validUvarint[:len(validUvarint)/2])
+	f.Add(validF64[:len(validF64)/2])
+	for _, c := range compactCases() {
+		f.Add(c.blob)
+	}
+	for _, p := range []*BMBP{goldenPredictor(), goldenIntegralPredictor()} {
+		f.Add(refMarshalFixedWidth(p))
+		blob, _ := p.MarshalBinary()
+		f.Add(blob)
+	}
+	legacyUvarint, legacyF64 := uvarintBlob(0), refMarshalFixedWidth(New(Config{}))
+	legacyF64[4] = versionF64
+	f.Add(legacyUvarint)
+	f.Add(legacyF64)
 	f.Add([]byte("BMBP"))
 	f.Add([]byte{})
-	f.Add(validV2[:len(validV2)/2])
-	f.Add(validV1[:len(validV1)/2])
 	f.Add(hostileHistoryBlob())
+	f.Add(compactBlob(maxHistLen))
 	f.Add(uvarintBlob(2, 0x01, 0x85, 0x80, 0x00)) // a non-minimal uvarint
-	golden, _ := goldenPredictor().MarshalBinary()
-	f.Add(golden)
-	goldenV2, _ := goldenIntegralPredictor().MarshalBinary()
-	f.Add(goldenV2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := New(Config{})
 		err := b.UnmarshalBinary(data)
@@ -53,9 +66,20 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		b.Observe(1, false)
 		b.Refit()
 		b.Bound()
-		// And re-serialize cleanly.
-		if _, err := b.MarshalBinary(); err != nil {
+		if len(data) > 5 && data[4] == versionCompact {
+			again := New(Config{})
+			_ = again.UnmarshalBinary(data)
+			if blob, _ := again.MarshalBinary(); !bytes.Equal(blob, data) {
+				t.Fatalf("accepted version-3 blob re-encodes as %x", blob)
+			}
+		}
+		// And re-serialize cleanly, to a blob that decodes.
+		blob, err := b.MarshalBinary()
+		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)
+		}
+		if err := New(Config{}).UnmarshalBinary(blob); err != nil {
+			t.Fatalf("re-marshaled blob does not decode: %v", err)
 		}
 	})
 }

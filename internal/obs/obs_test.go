@@ -100,6 +100,22 @@ func TestRollingRateTinyWindow(t *testing.T) {
 	}
 }
 
+// TestRollingRateNilReadsEmpty: a nil tracker reads as an empty one, so a
+// stream can leave its tracker unbuilt until it first resolves a
+// prediction.
+func TestRollingRateNilReadsEmpty(t *testing.T) {
+	var r *RollingRate
+	empty := NewRollingRate(500)
+	rate, n := r.Rate()
+	wantRate, wantN := empty.Rate()
+	hits, total := r.Lifetime()
+	wantHits, wantTotal := empty.Lifetime()
+	if rate != wantRate || n != wantN || hits != wantHits || total != wantTotal {
+		t.Fatalf("nil tracker reads %g/%d, %d/%d; an empty one %g/%d, %d/%d",
+			rate, n, hits, total, wantRate, wantN, wantHits, wantTotal)
+	}
+}
+
 // TestRollingRateMatchesBoolWindow replays random outcome streams through
 // the bitset window and through a plain []bool ring, across several wraps
 // and at window sizes on both sides of a word boundary: Rate and Lifetime

@@ -67,8 +67,12 @@ func (r *RollingRate) Record(hit bool) {
 }
 
 // Rate returns the hit rate over the current window and the number of
-// outcomes in it. With no outcomes yet, it returns (0, 0).
+// outcomes in it. With no outcomes yet, or on a nil tracker, it returns
+// (0, 0).
 func (r *RollingRate) Rate() (rate float64, n int) {
+	if r == nil {
+		return 0, 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.filled == 0 {
@@ -77,8 +81,12 @@ func (r *RollingRate) Rate() (rate float64, n int) {
 	return float64(r.hits) / float64(r.filled), r.filled
 }
 
-// Lifetime returns the total hits and outcomes since creation.
+// Lifetime returns the total hits and outcomes since creation; a nil
+// tracker reads as an empty one.
 func (r *RollingRate) Lifetime() (hits, total uint64) {
+	if r == nil {
+		return 0, 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lifetimeHits, r.lifetimeN

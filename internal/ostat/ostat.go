@@ -46,12 +46,14 @@ type innerNode struct {
 }
 
 // Multiset is an order-statistic multiset of float64 values. The zero value
-// is not ready to use; construct with New.
+// is an empty multiset holding no arena: its first Insert allocates the
+// root leaf, and BuildFromSorted sizes the arenas itself, so a structure
+// that is built rather than grown never holds a leaf it throws away.
 type Multiset struct {
 	leaves []leafNode
 	inners []innerNode
 	root   int32 // leaf index when height == 1, else inner index
-	height int32 // levels including the leaf level
+	height int32 // levels including the leaf level; 0 before the first leaf
 	total  int   // values, counting multiplicity
 
 	freeLeaf  []int32
@@ -80,6 +82,9 @@ func (m *Multiset) Len() int { return m.total }
 
 // Clear empties the multiset, retaining arena capacity.
 func (m *Multiset) Clear() {
+	if m.height == 0 {
+		return
+	}
 	m.leaves = m.leaves[:1]
 	m.leaves[0] = leafNode{}
 	m.inners = m.inners[:0]
@@ -161,6 +166,10 @@ func (in *innerNode) sum() int32 {
 // an existing leaf entry, and the rare full-leaf case splits upward along a
 // reusable path stack.
 func (m *Multiset) Insert(value float64) {
+	if m.height == 0 {
+		m.leaves = append(m.leaves[:0], leafNode{})
+		m.height = 1
+	}
 	m.total++
 	pn, pp := m.pathNode[:0], m.pathPos[:0]
 	node := m.root
@@ -272,6 +281,9 @@ func (m *Multiset) splitUp(pn, pp []int32, left, carry int32, leftSep float64, l
 // partially drained nodes are left as-is (relaxed deletion), which keeps
 // deletes cheap without hurting the logarithmic bounds in practice.
 func (m *Multiset) Delete(value float64) bool {
+	if m.total == 0 {
+		return false
+	}
 	pn, pp := m.pathNode[:0], m.pathPos[:0]
 	node := m.root
 	for lvl := m.height; lvl > 1; lvl-- {
@@ -372,6 +384,9 @@ func (m *Multiset) Select(k int) (float64, bool) {
 
 // Rank returns the number of values strictly less than value.
 func (m *Multiset) Rank(value float64) int {
+	if m.total == 0 {
+		return 0
+	}
 	var rank int32
 	node := m.root
 	for lvl := m.height; lvl > 1; lvl-- {
@@ -507,6 +522,9 @@ func resize[T any](s []T, n int) []T {
 // InOrder calls fn for each value in ascending order (repeated values are
 // visited once per multiplicity); fn returning false stops the walk early.
 func (m *Multiset) InOrder(fn func(v float64) bool) {
+	if m.total == 0 {
+		return
+	}
 	m.inOrder(m.root, m.height, fn)
 }
 

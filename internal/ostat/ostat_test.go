@@ -240,6 +240,42 @@ func TestArenaGrowsExactly(t *testing.T) {
 	}
 }
 
+// TestZeroValue: the zero Multiset is an empty multiset that holds no
+// arena. Reads and deletes on it find nothing, its first Insert allocates
+// the root leaf, and a bulk build into it allocates only the arenas the
+// build fills.
+func TestZeroValue(t *testing.T) {
+	var m Multiset
+	if _, ok := m.Select(1); ok || m.Len() != 0 || m.Rank(3) != 0 || m.Delete(3) {
+		t.Fatal("zero multiset is not empty")
+	}
+	m.InOrder(func(float64) bool { t.Fatal("zero multiset visited a value"); return false })
+	m.Clear()
+	if cap(m.leaves) != 0 || cap(m.inners) != 0 {
+		t.Fatalf("zero multiset holds %d leaves and %d inner nodes", cap(m.leaves), cap(m.inners))
+	}
+	m.Insert(3)
+	if v, ok := m.Select(1); !ok || v != 3 || cap(m.leaves) != 1 {
+		t.Fatalf("first insert: Select(1) = %g/%v with %d leaves", v, ok, cap(m.leaves))
+	}
+	checkStructure(t, &m, 1)
+
+	sorted := make([]float64, 100)
+	for i := range sorted {
+		sorted[i] = float64(i)
+	}
+	if raceEnabled {
+		return // the race detector adds allocations of its own
+	}
+	b := new(Multiset)
+	if allocs := testing.AllocsPerRun(10, func() {
+		*b = Multiset{}
+		b.BuildFromSorted(sorted)
+	}); allocs != 2 {
+		t.Errorf("building 100 values into a zero multiset allocated %.0f times, want 2 (two leaves, one inner node)", allocs)
+	}
+}
+
 // TestBuildFromSorted checks bulk builds at sizes on both sides of a full
 // leaf and a full inner level: the tree holds every value in order, each
 // level is spread evenly within the build fill, the arenas hold the nodes

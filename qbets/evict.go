@@ -13,32 +13,42 @@ import (
 // idle most of the time, so idle streams are *evicted*: the forecaster is
 // serialized into a compact cold blob and dropped, while the stream keeps
 // serving reads forever from its published forecast snapshot (bound,
-// counters, cached profile — all immutable, all lock-free). The first
-// write to a cold stream rehydrates it from the blob, observes, and
-// carries on; recovery and state saves handle cold streams without ever
-// inflating them.
+// counters, a profile cached by its first reader — all immutable, all
+// lock-free). The first write to a cold stream rehydrates it from the
+// blob, observes, and carries on; recovery, state saves and reads handle
+// cold streams without ever inflating them.
 //
 // The activity clock is deliberately coarse: eviction passes advance it,
 // writes stamp it with one atomic load + compare. TTLs are minutes to
 // hours, so per-write time syscalls would be pure overhead.
 
-// rehydrateLocked restores an evicted stream's forecaster from its cold
-// blob. Caller holds the stream's write lock; on return the stream is
-// fully hydrated and settled, ready for applyRunLocked. A blob that does
-// not decode, or decodes to a forecaster other than the one the published
-// snapshot describes (a cold-adopted core whose summary fields disagree
-// with its state), is corrupt: the stream stays cold and keeps serving
-// the snapshot it has.
-func (st *stream) rehydrateLocked(s *Service) error {
+// decodeColdLocked decodes an evicted stream's cold blob into a settled
+// forecaster without installing it. Caller holds the stream's write lock.
+// A blob that does not decode, or decodes to a forecaster other than the
+// one the published snapshot describes (a cold-adopted core whose summary
+// fields disagree with its state), is corrupt.
+func (st *stream) decodeColdLocked() (*Forecaster, error) {
 	fc := New()
 	if err := fc.UnmarshalBinary(st.cold); err != nil {
-		return fmt.Errorf("qbets: %w: rehydrate stream %q: %v", ErrCorruptState, st.key, err)
+		return nil, fmt.Errorf("qbets: %w: rehydrate stream %q: %v", ErrCorruptState, st.key, err)
 	}
 	bound, ok := fc.Forecast() // settle before any read path can see it
 	if snap := st.snap.Load(); bound != snap.boundSeconds || ok != snap.boundOK ||
 		fc.Observations() != snap.observations || fc.MinObservations() != snap.minObservations ||
 		fc.ChangePoints() != snap.trims {
-		return fmt.Errorf("qbets: %w: rehydrate stream %q: state disagrees with its summary", ErrCorruptState, st.key)
+		return nil, fmt.Errorf("qbets: %w: rehydrate stream %q: state disagrees with its summary", ErrCorruptState, st.key)
+	}
+	return fc, nil
+}
+
+// rehydrateLocked restores an evicted stream's forecaster from its cold
+// blob. Caller holds the stream's write lock; on return the stream is
+// fully hydrated and settled, ready for applyRunLocked. A corrupt blob
+// (decodeColdLocked) leaves the stream cold, serving the snapshot it has.
+func (st *stream) rehydrateLocked(s *Service) error {
+	fc, err := st.decodeColdLocked()
+	if err != nil {
+		return err
 	}
 	st.fc = fc
 	st.cold = nil
@@ -51,14 +61,14 @@ func (st *stream) rehydrateLocked(s *Service) error {
 
 // evictLocked serializes the stream's forecaster into the cold blob and
 // drops it. Caller holds the stream's write lock and fc must be non-nil.
-// Pending state is published first and the quantile profile is cached on
-// the snapshot, so every read API keeps answering — exactly, not stalely —
-// for as long as the stream stays cold; reads alone never rehydrate.
+// Pending state is published first, so every read API keeps answering —
+// exactly, not stalely — for as long as the stream stays cold; a quantile
+// profile no reader has asked for is left to its first reader
+// (fillProfileLocked), and reads alone never rehydrate.
 func (st *stream) evictLocked(s *Service) error {
 	if st.dirty.Load() {
 		st.publishLocked()
 	}
-	st.fillProfileLocked(s)
 	blob, err := st.fc.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("qbets: evict stream %q: %w", st.key, err)

@@ -154,7 +154,7 @@ func TestColdAdoptedCorruptStateIsReported(t *testing.T) {
 	undecodable.State = []byte("AAAA")
 	mismatched.Observations = 0
 	future.State = append([]byte(nil), future.State...)
-	binary.LittleEndian.PutUint16(future.State[4:], 3) // the version after the magic
+	binary.LittleEndian.PutUint16(future.State[4:], 4) // the version after the magic; 3 is the newest
 	for name, core := range map[string]shardStream{"undecodable": undecodable, "mismatched": mismatched, "unknown version": future} {
 		chunk, err := json.Marshal(map[string]shardStream{"q/65+": core})
 		if err != nil {

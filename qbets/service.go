@@ -206,8 +206,11 @@ type stream struct {
 	// once at construction from streamLockIDs, so unique and fixed.
 	lockID uint64
 	fc     *Forecaster
-	hit    *obs.RollingRate
-	snap   atomic.Pointer[forecastSnapshot]
+	// hit (guarded by mu) is the stream's hit-rate tracker, built at its
+	// first live-scored observation: recovery, replication and adoption
+	// score nothing, and nil reads as an empty tracker.
+	hit  *obs.RollingRate
+	snap atomic.Pointer[forecastSnapshot]
 
 	// dirty is set (under mu) when applied state is newer than the
 	// published snapshot and cleared by publishLocked. Readers poll it to
@@ -407,7 +410,7 @@ func (s *Service) newStream(key string) *stream {
 	opts := append([]Option{WithSeed(seed)}, s.opts...)
 	fc := New(opts...)
 	fc.Forecast()
-	st := &stream{key: key, lockID: streamLockIDs.Add(1), fc: fc, hit: obs.NewRollingRate(hitRateWindow)}
+	st := &stream{key: key, lockID: streamLockIDs.Add(1), fc: fc}
 	st.lastTouch.Store(s.clock.Load())
 	st.publishLocked()
 	p := s.sharedEmptyProfile()
@@ -512,6 +515,9 @@ func (st *stream) applyRunLocked(s *Service, run []replayRecord, live bool) {
 		}
 		if live {
 			if bound, ok := st.fc.Forecast(); ok {
+				if st.hit == nil {
+					st.hit = obs.NewRollingRate(hitRateWindow)
+				}
 				st.hit.Record(r.wait <= bound)
 			}
 		}
@@ -939,22 +945,22 @@ func (s *Service) Profile(queue string, procs int) []Bound {
 	if st == nil {
 		return nil
 	}
-	return st.profile(s)
+	return st.profile()
 }
 
 // profile serves the stream's quantile profile from the published
 // snapshot, computing it on demand. Order of preference: the current
 // snapshot's cached profile; compute-and-cache under a non-blocking
 // TryLock; the last profile ever computed (bounded staleness, same rule
-// as loadSnap); and — only for a cold-adopted stream that has never
-// computed one — a blocking compute, which may rehydrate the forecaster.
-func (st *stream) profile(s *Service) []Bound {
+// as loadSnap); and — only for a stream that has never computed one — a
+// blocking compute.
+func (st *stream) profile() []Bound {
 	snap := st.loadSnap()
 	if p := snap.profile.Load(); p != nil {
 		return *p
 	}
 	if st.mu.TryLock() {
-		p := st.fillProfileLocked(s)
+		p := st.fillProfileLocked()
 		st.mu.Unlock()
 		if p != nil {
 			return *p
@@ -964,7 +970,7 @@ func (st *stream) profile(s *Service) []Bound {
 		return *p
 	}
 	st.mu.Lock()
-	p := st.fillProfileLocked(s)
+	p := st.fillProfileLocked()
 	st.mu.Unlock()
 	if p != nil {
 		return *p
@@ -974,22 +980,25 @@ func (st *stream) profile(s *Service) []Bound {
 
 // fillProfileLocked computes the profile for the stream's current state
 // and caches it on the published snapshot (and the stream's lastProfile
-// fallback). Returns nil only if an evicted forecaster cannot be
-// rehydrated. Caller holds the stream's write lock.
-func (st *stream) fillProfileLocked(s *Service) *[]Bound {
-	if st.fc == nil {
-		if err := st.rehydrateLocked(s); err != nil {
-			return nil
-		}
-	}
-	if st.dirty.Load() {
+// fallback). A cold stream's profile comes from its blob decoded into a
+// forecaster that is dropped afterwards, so a read never rehydrates; nil
+// means that blob is corrupt. Caller holds the stream's write lock.
+func (st *stream) fillProfileLocked() *[]Bound {
+	fc := st.fc
+	if fc != nil && st.dirty.Load() {
 		st.publishLocked()
 	}
 	snap := st.snap.Load()
 	if p := snap.profile.Load(); p != nil {
 		return p
 	}
-	p := st.fc.Profile()
+	if fc == nil {
+		var err error
+		if fc, err = st.decodeColdLocked(); err != nil {
+			return nil
+		}
+	}
+	p := fc.Profile()
 	snap.profile.Store(&p)
 	st.lastProfile.Store(&p)
 	return &p

@@ -2,6 +2,7 @@ package qbets
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -60,6 +62,76 @@ func savedGeneration(tb testing.TB) (current, manifest, shard []byte) {
 	return current, read(gen, "manifest.json"), read(gen, shardFileName(0))
 }
 
+// compactStateSeeds returns version-3 forecaster blobs for the shard
+// fuzzers' seed corpora: the default config with a uvarint and with an f64
+// history, each non-default config flag, and truncations of the flags
+// byte and of fields.
+func compactStateSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	blob := func(frac float64, opts ...Option) []byte {
+		f := New(append([]Option{WithSeed(3)}, opts...)...)
+		for i := 0; i < 70; i++ {
+			f.Observe(float64(10+(i*37)%70) + frac)
+		}
+		b, err := f.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	plain, fractional := blob(0), blob(0.5)
+	// Mode (flag bit 2) and a custom rare-event table (bit 6) have no
+	// Option, so they are spliced into the default blob: the mode's
+	// zigzag varint follows the flags byte, and the table follows the
+	// seed and the four counts.
+	const flagsAt = 6
+	mode := slices.Concat(plain[:flagsAt+1], []byte{2}, plain[flagsAt+1:]) // ModeExact
+	mode[flagsAt] |= 1 << 2
+	at := flagsAt + 1
+	for i := 0; i < 5; i++ {
+		_, n := binary.Uvarint(plain[at:])
+		at += n
+	}
+	entry := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	entry = binary.LittleEndian.AppendUint64(entry, 6)
+	table := slices.Concat(plain[:at], []byte{1}, entry, plain[at:])
+	table[flagsAt] |= 1 << 6
+	valid := [][]byte{
+		plain, fractional, mode, table,
+		blob(0, WithQuantile(0.9)), blob(0, WithConfidence(0.99)), blob(0, WithoutTrimming()),
+		blob(0, WithFixedChangeThreshold(4)), blob(0.5, WithMaxHistory(60)),
+	}
+	truncated := [][]byte{plain[:flagsAt], plain[:flagsAt+2], table[:at+5], fractional[:len(fractional)-3]}
+	for i, b := range append(valid, truncated...) {
+		if err := New().UnmarshalBinary(b); (err == nil) != (i < len(valid)) {
+			tb.Fatalf("seed %d (%x): decode error %v", i, b, err)
+		}
+	}
+	return append(valid, truncated...)
+}
+
+// compactStateDocs wraps each compactStateSeeds blob as a one-stream
+// shard document whose summary fields are the blob's own when it decodes.
+func compactStateDocs(tb testing.TB) (docs, blobs [][]byte) {
+	tb.Helper()
+	for _, blob := range compactStateSeeds(tb) {
+		core := shardStream{State: blob, Bound: 5, BoundOK: true, Observations: 3}
+		if f := New(); f.UnmarshalBinary(blob) == nil {
+			bound, ok := f.Forecast()
+			core = shardStream{
+				State: blob, Bound: bound, BoundOK: ok, Observations: f.Observations(),
+				MinObservations: f.MinObservations(), Trims: f.ChangePoints(),
+			}
+		}
+		doc, err := encodeShardCores(map[string]shardStream{"q": core})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		docs, blobs = append(docs, doc), append(blobs, blob)
+	}
+	return docs, blobs
+}
+
 // FuzzShardCores holds the shard-core codec to encoding/json in both
 // directions. Any document must decode exactly as json.Unmarshal decodes
 // it into a map[string]shardStream — same accept/reject, same value —
@@ -77,6 +149,10 @@ func FuzzShardCores(f *testing.F) {
 	f.Add([]byte(`{"k":{"STATE":"AAAA","bound":1e400}}`), "k", []byte("x"), uint64(0), 5e-324, false, 0, 0, 0, int64(0))
 	f.Add([]byte(`{"k":{"state":"AA\nAA","observations":1.0}}`), "k", []byte("x"), uint64(0), -123.456, false, 0, 0, 0, int64(0))
 	f.Add([]byte(` {"k":{"state":"AAA="}} `), "k", []byte("x"), uint64(0), 0.1, false, 0, 0, 0, int64(0))
+	docs, blobs := compactStateDocs(f)
+	for i, doc := range docs {
+		f.Add(doc, "q", blobs[i], uint64(i), 16.0, true, 70, 59, 0, int64(0))
+	}
 	for _, doc := range []string{
 		`null`,
 		"{\"k\":{\"state\":\"AAAA\r\nAAAA\"}}",
@@ -142,6 +218,10 @@ func FuzzLoadShards(f *testing.F) {
 	f.Add(current, []byte(`{"shards":1}`), []byte(`{"q":{"state":"AAAA","bound":5,"bound_ok":true}}`))
 	f.Add(current, []byte(`not json`), shard)
 	f.Add(current, manifest, []byte(`{"k":{"state":"`))
+	docs, _ := compactStateDocs(f)
+	for _, doc := range docs {
+		f.Add(current, []byte(`{"by_procs":false,"next_seed":4,"shards":1,"streams":1}`), doc)
+	}
 
 	f.Fuzz(func(t *testing.T, current, manifest, shard []byte) {
 		dir := t.TempDir()

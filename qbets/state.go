@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // ErrCorruptState marks state blobs that fail to decode. Callers use it to
@@ -144,7 +142,7 @@ func (s *Service) unmarshalLegacy(data []byte) error {
 			return fmt.Errorf("qbets: %w: stream %q: %v", ErrCorruptState, k, err)
 		}
 		fc.Forecast() // settle the lazy refit before concurrent reads start
-		st := &stream{key: k, lockID: streamLockIDs.Add(1), fc: fc, hit: obs.NewRollingRate(hitRateWindow), trimsSeen: fc.ChangePoints(), lastSeq: blob.StreamSeqs[k]}
+		st := &stream{key: k, lockID: streamLockIDs.Add(1), fc: fc, trimsSeen: fc.ChangePoints(), lastSeq: blob.StreamSeqs[k]}
 		st.lastTouch.Store(s.clock.Load())
 		st.publishLocked()
 		restored[k] = st

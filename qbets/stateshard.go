@@ -14,7 +14,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -538,7 +537,6 @@ func (s *Service) adoptColdStream(key string, core shardStream) *stream {
 	st := &stream{
 		key:          key,
 		lockID:       streamLockIDs.Add(1),
-		hit:          obs.NewRollingRate(hitRateWindow),
 		cold:         core.State,
 		trimsSeen:    core.Trims,
 		lastTrimUnix: core.LastTrimUnix,
